@@ -15,6 +15,7 @@ deterministic byte-for-byte for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -92,8 +93,8 @@ def _check_config(config: RunConfig) -> None:
     if config.lmax > 128:
         raise io.SchemaError("lmax above 128 is not supported")
     for tau in config.tau:
-        if not tau > 0.0:
-            raise io.SchemaError("tau values must be positive")
+        if not (tau > 0.0 and math.isfinite(tau)):
+            raise io.SchemaError("tau values must be positive and finite")
     if config.mode in ("verify", "moments") and config.format == "csv":
         raise io.SchemaError("csv output is only available for fields and "
                              "small-sphere runs")
@@ -172,13 +173,16 @@ def run_small_sphere(config: RunConfig) -> str:
     grid = build_grid(config.lmax)
     taus = list(config.tau) if config.tau else [0.01]
 
-    reports = []
-    for tau in taus:
-        report = mass.small_sphere_report(jet, tau, grid)
-        _gate_residuals(report)
-        reports.append(report)
-
-    quintic = mass.small_sphere_quintic(jet, taus[0], grid)
+    try:
+        reports = []
+        for tau in taus:
+            report = mass.small_sphere_report(jet, tau, grid)
+            _gate_residuals(report)
+            reports.append(report)
+        quintic = mass.small_sphere_quintic(jet, taus[0], grid)
+    except OverflowError as exc:
+        raise io.SchemaError("tau too large: its powers in the small-sphere "
+                             "expansion overflow") from exc
     coefficients = {
         "assembled_c3": quintic["c3"],
         "assembled_c5": quintic["c5"],

@@ -10,6 +10,11 @@ sign convention used throughout the package: the (0,4) tensor is
 whose trace over the outer slots gives a Ricci tensor that is positive
 on round spheres.  Everything here is an oracle: no spectral machinery,
 no reconstruction formulas, only stencils and the definitions.
+
+fd_riemann and fd_ricci take one point, shape (3,), or a batch, shape
+(npts, 3); a batch gathers the stencils of all its points into a single
+Christoffel evaluation, so the metric callable must accept any (npts, 3)
+batch.  A single point is the batch of one.
 """
 
 from __future__ import annotations
@@ -35,50 +40,58 @@ def _check_step(step: float) -> None:
         raise ValueError(f"finite-difference step {step} outside {_STEP_RANGE}")
 
 
-def fd_riemann(metric: MetricField, point, step: float = 1e-3) -> Riemann3:
-    """Riemann tensor of an ambient metric at one point, by differences.
+def _as_batch(points) -> np.ndarray:
+    """Points of shape (3,) or (npts, 3) as an (npts, 3) array."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != 3:
+        raise ValueError("points must have shape (3,) or (npts, 3)")
+    return points.reshape(-1, 3)
+
+
+def fd_riemann(metric: MetricField, points, step: float = 1e-3):
+    """Riemann tensor of an ambient metric by differences.
 
     Christoffel symbols are themselves computed from finite differences
     of the metric callable, so the result never touches an analytic
-    gradient that closed-form code might share.
+    gradient that closed-form code might share.  Returns a Riemann3 for a
+    point of shape (3,) and a list of them for points of shape (npts, 3).
     """
     _check_step(step)
-    point = np.asarray(point, dtype=float).reshape(3)
-
-    def gamma(pts):
-        return metric.christoffel(pts, step=step, force_fd=True)
-
-    base = np.atleast_2d(point)
-    gam0 = gamma(base)[0]
-    dgam = np.zeros((3, 3, 3, 3))  # [a, c, b, d] = d_a Gamma^c_bd
+    base = _as_batch(points)
+    npts = base.shape[0]
+    shifted = np.broadcast_to(base, (3, 4, npts, 3)).copy()  # [axis, offset]
     for a in range(3):
-        acc = np.zeros((3, 3, 3))
-        for off, wgt in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            shifted = base.copy()
-            shifted[0, a] += off * step
-            acc += wgt * gamma(shifted)[0]
-        dgam[a] = acc / step
+        shifted[a, :, :, a] += _D1_OFFSETS[:, None] * step
+    gam = metric.christoffel(np.concatenate([base, shifted.reshape(-1, 3)]),
+                             step=step, force_fd=True)
+    gam0 = gam[:npts]
+    gam_shifted = gam[npts:].reshape(3, 4, npts, 3, 3, 3)
+    dgam = np.zeros((npts, 3, 3, 3, 3))  # [n, a, c, b, d] = d_a Gamma^c_bd
+    for a in range(3):
+        dgam[:, a] = sum(wgt * gam_shifted[a, k]
+                         for k, wgt in enumerate(_D1_WEIGHTS)) / step
 
     # R_ab c^e then lower the last slot with g.
-    upper = (np.einsum("aebc->abce", dgam) - np.einsum("beac->abce", dgam)
-             + np.einsum("eaf,fbc->abce", gam0, gam0)
-             - np.einsum("ebf,fac->abce", gam0, gam0))
-    g0 = metric(base)[0]
-    dense = np.einsum("abce,ed->abcd", upper, g0)
-    return Riemann3.from_dense(dense)
+    upper = (np.einsum("naebc->nabce", dgam) - np.einsum("nbeac->nabce", dgam)
+             + np.einsum("neaf,nfbc->nabce", gam0, gam0)
+             - np.einsum("nebf,nfac->nabce", gam0, gam0))
+    dense = np.einsum("nabce,ned->nabcd", upper, metric(base))
+    riem = [Riemann3.from_dense(d) for d in dense]
+    return riem[0] if np.ndim(points) == 1 else riem
 
 
-def fd_ricci(metric: MetricField, point, step: float = 1e-3) -> np.ndarray:
+def fd_ricci(metric: MetricField, points, step: float = 1e-3) -> np.ndarray:
     """Coordinate Ricci components from the finite-difference Riemann tensor.
 
-    The contraction uses the inverse metric at the point; the plain
+    The contraction uses the inverse metric at each point; the plain
     ``Riemann3.ricci`` helper assumes an orthonormal frame and would be
-    wrong wherever g differs from the identity.
+    wrong wherever g differs from the identity.  Returns shape (3, 3) for
+    a point of shape (3,) and (npts, 3, 3) for points of shape (npts, 3).
     """
-    point = np.asarray(point, dtype=float).reshape(3)
-    dense = fd_riemann(metric, point, step).dense
-    ginv = np.linalg.inv(metric(point[None])[0])
-    return np.einsum("dc,cabd->ab", ginv, dense)
+    base = _as_batch(points)
+    dense = np.stack([r.dense for r in fd_riemann(metric, base, step)])
+    ric = np.einsum("ndc,ncabd->nab", np.linalg.inv(metric(base)), dense)
+    return ric[0] if np.ndim(points) == 1 else ric
 
 
 def conformal_ricci(rho: float, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:

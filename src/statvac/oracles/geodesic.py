@@ -247,43 +247,44 @@ def jet_from_metric(metric: MetricField, center, *, step: float = 0.025,
         raise ValueError("jet extraction needs a center where the metric "
                          "first derivatives vanish")
 
-    def ric_at(offset):
-        return fd_ricci(metric, center + offset, step=curv_step)
-
+    # every stencil offset, in units of step, evaluated in one batch
     eye = np.eye(3)
+    w_pure = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    o_pure = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    axis_offsets = [off * eye[c] for c in range(3) for off in o_pure]
+    pairs = [(c, d) for c in range(3) for d in range(c + 1, 3)]
+    mixed_offsets = [oi * eye[c] + oj * eye[d] for c, d in pairs
+                     for oi in _OFFS for oj in _OFFS]
+    index = {}
+    for off in axis_offsets + mixed_offsets:
+        index.setdefault(tuple(off), len(index))
+    ric_all = fd_ricci(metric, center + step * np.array(list(index)), step=curv_step)
+
+    def ric_at(off):
+        return ric_all[index[tuple(off)]]
+
     ric0 = ric_at(np.zeros(3))
 
     dric = np.zeros((3, 3, 3))
     for c in range(3):
-        acc = np.zeros((3, 3))
-        for w, off in zip(_W1, _OFFS):
-            acc += w * ric_at(step * off * eye[c])
-        dric[c] = acc / step
+        dric[c] = sum(w * ric_at(off * eye[c]) for w, off in zip(_W1, _OFFS)) / step
 
     d2 = np.zeros((3, 3, 3, 3))
-    w_pure = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    o_pure = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     for c in range(3):
-        acc = np.zeros((3, 3))
-        for w, off in zip(w_pure, o_pure):
-            acc += w * (ric0 if off == 0.0 else ric_at(step * off * eye[c]))
-        d2[c, c] = acc / step ** 2
-    for c in range(3):
-        for d in range(c + 1, 3):
-            acc = np.zeros((3, 3))
-            for wi, oi in zip(_W1, _OFFS):
-                for wj, oj in zip(_W1, _OFFS):
-                    acc += wi * wj * ric_at(step * (oi * eye[c] + oj * eye[d]))
-            d2[c, d] = d2[d, c] = acc / step ** 2
+        d2[c, c] = sum(w * ric_at(off * eye[c])
+                       for w, off in zip(w_pure, o_pure)) / step ** 2
+    for c, d in pairs:
+        acc = sum(wi * wj * ric_at(oi * eye[c] + oj * eye[d])
+                  for wi, oi in zip(_W1, _OFFS) for wj, oj in zip(_W1, _OFFS))
+        d2[c, d] = d2[d, c] = acc / step ** 2
 
     # partial -> covariant correction at second order: with vanishing
     # Christoffel symbols at the center only their first derivatives enter.
+    axis_points = center + step * (_OFFS[None, :, None] * eye[:, None, :])
+    gam = metric.christoffel(axis_points.reshape(-1, 3)).reshape(3, 4, 3, 3, 3)
     dgam = np.zeros((3, 3, 3, 3))
     for dax in range(3):
-        acc = np.zeros((3, 3, 3))
-        for w, off in zip(_W1, _OFFS):
-            acc += w * metric.christoffel((center + step * off * eye[dax])[None])[0]
-        dgam[dax] = acc / step
+        dgam[dax] = sum(w * gam[dax, k] for k, w in enumerate(_W1)) / step
     d2 -= np.einsum("deca,eb->dcab", dgam, ric0)
     d2 -= np.einsum("decb,ae->dcab", dgam, ric0)
 

@@ -6,6 +6,13 @@ for polynomial and conformally flat metrics also carry exact first
 derivatives, which the geodesic integrator may use, but every curvature
 oracle differentiates the callable directly so that it stays independent
 of the closed forms it is checking.
+
+Points are batched: every difference stencil is gathered into one call of
+the callable, so a metric callable must accept any (npts, 3) batch and
+return (npts, 3, 3), with each point's value independent of the others.
+Polynomial metrics evaluate g and its exact gradient as fixed-order sums
+over monomials of the coordinates, with coefficients contracted once at
+construction.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ _D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 def fd_gradient(fun, points: np.ndarray, step: float) -> np.ndarray:
     """4th-order partial derivatives of a pointwise array-valued callable.
 
+    All twelve shifted copies of the points go to ``fun`` in one call.
+
     Parameters
     ----------
     fun : callable
@@ -41,16 +50,30 @@ def fd_gradient(fun, points: np.ndarray, step: float) -> np.ndarray:
         Derivative along each coordinate axis.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    base = np.asarray(fun(points))
-    out = np.zeros((points.shape[0], 3) + base.shape[1:])
+    npts = points.shape[0]
+    shifted = np.broadcast_to(points, (3, 4, npts, 3)).copy()  # [axis, offset]
     for c in range(3):
-        acc = np.zeros_like(base)
-        for off, wgt in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            shifted = points.copy()
-            shifted[:, c] += off * step
-            acc = acc + wgt * np.asarray(fun(shifted))
-        out[:, c] = acc / step
+        shifted[c, :, :, c] += _D1_OFFSETS[:, None] * step
+    vals = np.asarray(fun(shifted.reshape(-1, 3)))
+    vals = vals.reshape((3, 4, npts) + vals.shape[1:])
+    out = np.zeros((npts, 3) + vals.shape[3:])
+    for c in range(3):
+        out[:, c] = sum(wgt * vals[c, k] for k, wgt in enumerate(_D1_WEIGHTS)) / step
     return out
+
+
+def _inverse3(g: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of 3x3 matrices stored component-major, (3, 3, npts).
+
+    Column i of the inverse is row i+1 cross row i+2 over the determinant.
+    Raises LinAlgError on a singular or non-finite matrix.
+    """
+    adj = np.stack([np.cross(g[1], g[2], axis=0), np.cross(g[2], g[0], axis=0),
+                    np.cross(g[0], g[1], axis=0)], axis=1)
+    det = np.einsum("an,an->n", g[0], adj[:, 0])
+    if not np.all(np.isfinite(g)) or np.any(det == 0.0):
+        raise np.linalg.LinAlgError("singular or non-finite metric")
+    return adj / det
 
 
 class MetricField:
@@ -83,13 +106,17 @@ class MetricField:
                     force_fd: bool = False) -> np.ndarray:
         """Christoffel symbols Gamma^c_ab at the given points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        g = self(points)
         dg = self.fd_gradient(points, step) if force_fd else self.gradient(points, step)
-        ginv = np.linalg.inv(g)
-        # Gamma^c_ab = (1/2) g^{cd} (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-        bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
-                   - np.einsum("ndab->nabd", dg))
-        return 0.5 * np.einsum("ncd,nabd->ncab", ginv, bracket)
+        # component-major, points last, so that every product runs over
+        # contiguous points (polynomial metrics return views of such arrays)
+        g = self(points).transpose(1, 2, 0)
+        dg = dg.transpose(1, 2, 3, 0)
+        # Gamma^c_ab = (1/2) g^{cd} bracket[d, a, b] with
+        # bracket[d, a, b] = dg[a, d, b] + dg[b, d, a] - dg[d, a, b]
+        bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+        gam = np.matmul(_inverse3(g).transpose(2, 0, 1),
+                        bracket.reshape(3, 9, -1).transpose(2, 0, 1))
+        return 0.5 * gam.reshape(-1, 3, 3, 3)
 
     # -- constructors ----------------------------------------------------
 
@@ -154,18 +181,42 @@ class MetricField:
         cubic = sum(cubic.transpose(0, 1, *p)
                     for p in itertools.permutations((2, 3, 4))) / 6.0
 
+        # Contracted once per distinct monomial x^idx, idx = (i <= j <= ..):
+        # the block entry times the number of distinct orderings of idx.
+        # g and dg are fixed-order sums over these monomials, component-major
+        # (points last).  Unlike one BLAS product, whose rounding depends on
+        # the batch size, this gives each point the same value in any batch,
+        # which the curvature stencils need: they amplify the last bit.
+        blocks = (None, lin, quad, cubic)
+        terms = [idx for d in (1, 2, 3)
+                 for idx in itertools.combinations_with_replacement(range(3), d)]
+        coeffs = [len(set(itertools.permutations(idx)))
+                  * blocks[len(idx)][(Ellipsis, *idx)].reshape(9, 1) for idx in terms]
+
+        def monomials(pts):
+            x = np.ascontiguousarray(pts.T)
+            mono = {(): np.ones(pts.shape[0])}
+            for idx in terms:
+                mono[idx] = mono[idx[:-1]] * x[idx[-1]]
+            return mono
+
         def fun(pts):
-            g = np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
-            g = g + np.einsum("abi,ni->nab", lin, pts)
-            g = g + np.einsum("abij,ni,nj->nab", quad, pts, pts)
-            g = g + np.einsum("abijk,ni,nj,nk->nab", cubic, pts, pts, pts)
-            return g
+            mono = monomials(pts)
+            g = np.repeat(np.eye(3).reshape(9, 1), pts.shape[0], axis=1)
+            for idx, coeff in zip(terms, coeffs):
+                g += coeff * mono[idx]
+            return g.T.reshape(-1, 3, 3)
 
         def grad(pts):
-            dg = np.einsum("abc->cab", lin)[None, :, :, :] * np.ones((pts.shape[0], 1, 1, 1))
-            dg = dg + 2.0 * np.einsum("abcj,nj->ncab", quad, pts)
-            dg = dg + 3.0 * np.einsum("abcjk,nj,nk->ncab", cubic, pts, pts)
-            return dg
+            # d x^idx / d x_c = (times c occurs in idx) * x^(idx less one c)
+            mono = monomials(pts)
+            dg = np.zeros((3, 9, pts.shape[0]))
+            for idx, coeff in zip(terms, coeffs):
+                for c in sorted(set(idx)):
+                    rest = list(idx)
+                    rest.remove(c)
+                    dg[c] += idx.count(c) * coeff * mono[tuple(rest)]
+            return dg.reshape(27, -1).T.reshape(-1, 3, 3, 3)
 
         return cls(fun, grad, label=label)
 

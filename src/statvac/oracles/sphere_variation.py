@@ -23,6 +23,7 @@ normal points toward the unbounded component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class DeformationParams:
     @property
     def grid(self) -> SphereGrid:
         return self.f.grid
+
+    @cached_property
+    def grad_v(self) -> np.ndarray:
+        """Ambient gradient of vperp at the grid nodes; the same for every t."""
+        return self.vperp.gradient(self.grid.nodes)
 
     def widened(self, wgrid: SphereGrid) -> "DeformationParams":
         """Re-express the same parameters on a larger grid."""
@@ -148,7 +154,6 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     rho = 1.0 + t * vtrace
     if np.min(rho) <= 0.0:
         raise ValueError("conformal factor is not positive at this t")
-    grad_v = v.gradient(x)
 
     # Jacobian of the ambient flow x -> x + t u(x) at the sphere, where the
     # displacement u = f(x/|x|) x/|x| + X(x/|x|) is extended homogeneous of
@@ -161,7 +166,7 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     flow_jac = np.eye(3) + t * du
     pulled_nu = np.linalg.solve(flow_jac, nu[:, :, None])[:, :, 0]
     h_total = (rho ** (-0.5) * h_flat
-               - t * rho ** (-1.5) * np.sum(pulled_nu * grad_v, axis=1))
+               - t * rho ** (-1.5) * np.sum(pulled_nu * params.grad_v, axis=1))
 
     st = grid.sin_theta
     c11 = rho * gtt

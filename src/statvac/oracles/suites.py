@@ -16,6 +16,8 @@ so any subset reproduces the full run's numbers.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 
 from ..boundary import BartnikPerturbation, BoundarySolution, solve_boundary_system
@@ -74,6 +76,13 @@ def _homog_values(lmax: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return coeffs @ Y
 
 
+def _stencil_values(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
+                    shifts: np.ndarray) -> np.ndarray:
+    """Homogeneous extension at pts + each shift, one evaluation, (nshift, npts)."""
+    stacked = (pts[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
+    return _homog_values(lmax, coeffs, stacked).reshape(len(shifts), -1)
+
+
 def _ambient_laplacian(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
                        h: float) -> np.ndarray:
     """Euclidean Laplacian of the homogeneous extension, 4th-order stencil.
@@ -84,11 +93,13 @@ def _ambient_laplacian(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
     w = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     eye = np.eye(3)
+    shifts = np.array([(oi * h) * eye[axis] for axis in range(3) for oi in offs])
+    vals = _stencil_values(lmax, coeffs, pts, shifts).reshape(3, len(offs), -1)
     total = np.zeros(pts.shape[0])
     for axis in range(3):
         acc = np.zeros(pts.shape[0])
-        for wi, oi in zip(w, offs):
-            acc += wi * _homog_values(lmax, coeffs, pts + (oi * h) * eye[axis])
+        for wi, f in zip(w, vals[axis]):
+            acc += wi * f
         total += acc / h ** 2
     return total
 
@@ -97,19 +108,20 @@ def _ambient_hessian(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
                      h: float) -> np.ndarray:
     """Euclidean Hessian of the homogeneous extension, 2nd-order stencils."""
     eye = np.eye(3)
-    f0 = _homog_values(lmax, coeffs, pts)
+    pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+    # the center, then (+a, -a) per axis, then (pp, pm, mp, mm) per pair
+    shifts = ([np.zeros(3)]
+              + [s * h * eye[a] for a in range(3) for s in (1.0, -1.0)]
+              + [s * h * (eye[a] + t * eye[b]) for a, b in pairs
+                 for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0))])
+    vals = _stencil_values(lmax, coeffs, pts, np.array(shifts))
+    f0, axial, mixed = vals[0], vals[1:7].reshape(3, 2, -1), vals[7:].reshape(3, 4, -1)
     hess = np.zeros((pts.shape[0], 3, 3))
     for a in range(3):
-        fp = _homog_values(lmax, coeffs, pts + h * eye[a])
-        fm = _homog_values(lmax, coeffs, pts - h * eye[a])
+        fp, fm = axial[a]
         hess[:, a, a] = (fp - 2.0 * f0 + fm) / h ** 2
-    for a in range(3):
-        for b in range(a + 1, 3):
-            pp = _homog_values(lmax, coeffs, pts + h * (eye[a] + eye[b]))
-            pm = _homog_values(lmax, coeffs, pts + h * (eye[a] - eye[b]))
-            mp = _homog_values(lmax, coeffs, pts - h * (eye[a] - eye[b]))
-            mm = _homog_values(lmax, coeffs, pts - h * (eye[a] + eye[b]))
-            hess[:, a, b] = hess[:, b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+    for (a, b), (pp, pm, mp, mm) in zip(pairs, mixed):
+        hess[:, a, b] = hess[:, b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
     return hess
 
 
@@ -202,8 +214,11 @@ def _suite_multipliers(rng, lmax, fast):
         coeffs[harmonics.index_of(l, m)] = 1.0
         idx = rng.choice(grid.nnodes, size=min(nprobe, grid.nnodes), replace=False)
         pts = grid.nodes[idx]
-        lap_h = _ambient_laplacian(grid.lmax, coeffs, pts, h)
-        lap_h2 = _ambient_laplacian(grid.lmax, coeffs, pts, 0.5 * h)
+        # the single mode evaluated through its own degree: the same
+        # values as through grid.lmax, from much smaller tables
+        band = coeffs[: harmonics.num_modes(l)]
+        lap_h = _ambient_laplacian(l, band, pts, h)
+        lap_h2 = _ambient_laplacian(l, band, pts, 0.5 * h)
         lap = (16.0 * lap_h2 - lap_h) / 15.0
         expect = -float(l * (l + 1)) * (coeffs @ grid.Y[:, idx])
         worst = max(worst, float(np.max(np.abs(lap - expect)) / (l * (l + 1))))
@@ -220,8 +235,9 @@ def _suite_multipliers(rng, lmax, fast):
         m = int(rng.integers(-l, l + 1))
         coeffs = np.zeros(grid.nmodes)
         coeffs[harmonics.index_of(l, m)] = 1.0
-        hess_h = _ambient_hessian(grid.lmax, coeffs, grid.nodes, h)
-        hess_h2 = _ambient_hessian(grid.lmax, coeffs, grid.nodes, 0.5 * h)
+        band = coeffs[: harmonics.num_modes(l)]
+        hess_h = _ambient_hessian(l, band, grid.nodes, h)
+        hess_h2 = _ambient_hessian(l, band, grid.nodes, 0.5 * h)
         hess = (4.0 * hess_h2 - hess_h) / 3.0
         q11 = np.einsum("na,nab,nb->n", e1, hess, e1)
         q12 = np.einsum("na,nab,nb->n", e1, hess, e2)
@@ -488,6 +504,11 @@ def _suite_taylor(rng, lmax, fast):
         c5_res = abs(coef[2] - ref.hawking_c5) / abs(ref.hawking_c5)
         checks["hawking_cubic_coefficient"] = _check(c3_res, 1e-2)
         checks["hawking_quintic_coefficient"] = _check(c5_res, 1e-2)
+    # solve_ivp leaves each solver in a reference cycle that holds its step
+    # arrays (about 2.7 MB per sphere here).  Only a full collection frees
+    # them, and a process that runs verify repeatedly seldom reaches one, so
+    # without this its memory grows by every call's spheres.
+    gc.collect()
     return checks
 
 

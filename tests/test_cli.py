@@ -176,6 +176,9 @@ def test_verify_only_filters_suites(capsys):
     ("--mode", "small-sphere", "--tau", "-0.1"),
     ("--mode", "verify", "--format", "csv"),
     ("--mode", "verify", "--only", "nonsense"),
+    ("--mode", "fields", "--tau", "inf"),
+    ("--mode", "small-sphere", "--tau", "inf"),
+    ("--mode", "small-sphere", "--tau", "1e308"),
 ])
 def test_schema_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,5 +1,7 @@
 """Finite-difference curvature oracles and the ambient metric wrappers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,77 @@ def test_conformal_gradient_matches_finite_differences():
     analytic = metric.gradient(pts)
     fd = metric.fd_gradient(pts, step=1e-3)
     assert np.max(np.abs(analytic - fd)) < 1e-10
+
+
+def symmetric_polynomial_coefficients(rng):
+    """lin, quad, cubic blocks, all nonzero and already symmetric."""
+    lin = rng.uniform(-0.3, 0.3, size=(3, 3, 3))
+    quad = rng.uniform(-0.3, 0.3, size=(3, 3, 3, 3))
+    cubic = rng.uniform(-0.3, 0.3, size=(3, 3, 3, 3, 3))
+    lin = lin + lin.transpose(1, 0, 2)
+    quad = quad + quad.transpose(1, 0, 2, 3)
+    quad = quad + quad.transpose(0, 1, 3, 2)
+    cubic = cubic + cubic.transpose(1, 0, 2, 3, 4)
+    cubic = sum(cubic.transpose(0, 1, *p) for p in itertools.permutations((2, 3, 4)))
+    return lin, quad, cubic
+
+
+def relative_gap(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+def test_polynomial_metric_matches_the_explicit_contractions(rng):
+    lin, quad, cubic = symmetric_polynomial_coefficients(rng)
+    metric = MetricField.polynomial(lin, quad, cubic)
+    pts = rng.uniform(-0.4, 0.4, size=(7, 3))
+    g_ref = (np.eye(3) + np.einsum("abi,ni->nab", lin, pts)
+             + np.einsum("abij,ni,nj->nab", quad, pts, pts)
+             + np.einsum("abijk,ni,nj,nk->nab", cubic, pts, pts, pts))
+    dg_ref = (np.einsum("abc->cab", lin)[None]
+              + 2.0 * np.einsum("abcj,nj->ncab", quad, pts)
+              + 3.0 * np.einsum("abcjk,nj,nk->ncab", cubic, pts, pts))
+    assert relative_gap(metric(pts), g_ref) <= 1e-14
+    assert relative_gap(metric.gradient(pts), dg_ref) <= 1e-14
+
+
+def test_christoffel_matches_the_inverse_formula(rng):
+    metric = MetricField.polynomial(*symmetric_polynomial_coefficients(rng))
+    pts = rng.uniform(-0.3, 0.3, size=(9, 3))
+    g = metric(pts)
+    dg = metric.gradient(pts)
+    bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
+               - np.einsum("ndab->nabd", dg))
+    ref = 0.5 * np.einsum("ncd,nabd->ncab", np.linalg.inv(g), bracket)
+    assert relative_gap(metric.christoffel(pts), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("g", [
+    np.zeros((3, 3)),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.full((3, 3), np.nan),
+])
+def test_christoffel_rejects_singular_metrics(g):
+    metric = MetricField(lambda pts: np.broadcast_to(g, (pts.shape[0], 3, 3)),
+                         lambda pts: np.zeros((pts.shape[0], 3, 3, 3)))
+    pts = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        metric.christoffel(pts)
+
+
+def test_fd_ricci_batch_matches_single_points(rng):
+    def rho(pts):
+        return 1.0 + 0.3 * pts[:, 0] + np.sum(pts * pts, axis=1) * 0.2
+
+    pts = rng.uniform(-0.3, 0.3, size=(5, 3))
+    for metric in (random_polynomial_metric(rng, amplitude=0.4), MetricField.conformal(rho)):
+        batch = fd_ricci(metric, pts)
+        single = np.stack([fd_ricci(metric, p) for p in pts])
+        assert batch.shape == (5, 3, 3)
+        assert relative_gap(batch, single) <= 1e-12
+        riems = fd_riemann(metric, pts)
+        assert len(riems) == 5
+        assert relative_gap(riems[2].pair_matrix,
+                            fd_riemann(metric, pts[2]).pair_matrix) <= 1e-12
 
 
 def test_christoffel_is_symmetric_in_lower_indices(rng):

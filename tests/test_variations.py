@@ -48,6 +48,20 @@ def test_pure_scaling_curve_is_exact(grid8):
     np.testing.assert_allclose(hdot.values, 2.0 * c, atol=1e-13)
 
 
+def test_variation_check_evaluates_the_exterior_gradient_once(grid8, rng, monkeypatch):
+    """grad v does not depend on t, so the five sampled times share it."""
+    calls = []
+    original = HarmonicExterior.gradient
+
+    def counted(self, points):
+        calls.append(points.shape)
+        return original(self, points)
+
+    monkeypatch.setattr(HarmonicExterior, "gradient", counted)
+    variation_check(random_deformation(grid8, rng))
+    assert len(calls) == 1
+
+
 def test_first_variation_is_linear_in_the_parameters(grid8, rng):
     pa = random_deformation(grid8, rng)
     pb = random_deformation(grid8, rng)
