@@ -97,16 +97,12 @@ class HarmonicExterior:
         that = np.stack([ct * cp, ct * sp, -st], axis=1)
         phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
         ls = self.grid.ls.astype(float)
-        ms = self.grid.ms.astype(float)
-        partner = (self.grid.ls * self.grid.ls + self.grid.ls - self.grid.ms)
-        dYdphi = np.zeros_like(Y)
-        nz = self.grid.ms != 0
-        dYdphi[nz] = -ms[nz, None] * Y[partner[nz]]
         rpow = r[None, :] ** (-(ls + 2.0))[:, None]
         radial_part = self.coeffs @ (-(ls + 1.0)[:, None] * Y * rpow)
         theta_part = self.coeffs @ (dY * rpow)
         safe_st = np.where(st < 1e-12, 1e-12, st)
-        phi_part = self.coeffs @ (dYdphi * rpow) / safe_st
+        # rpow depends only on l, so d/dphi moves onto the coefficients
+        phi_part = self.grid.dphi_coeffs(self.coeffs) @ (Y * rpow) / safe_st
         return (radial_part[:, None] * rhat + theta_part[:, None] * that
                 + phi_part[:, None] * phat)
 

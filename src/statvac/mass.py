@@ -157,6 +157,8 @@ def estimate(data: BartnikPerturbation, tau: float | None = None,
         "m1_consistency": abs(m1 - m1_flux),
         "dirichlet_energy": sol.v.dirichlet_energy(),
         "tracefree_truncation": data.gamma1.tracefree_truncation,
+        "trace_truncation": data.gamma1.trace.truncation,
+        "h1_truncation": data.H1.truncation,
     }
     reference = {}
     if jet is not None:

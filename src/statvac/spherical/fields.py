@@ -108,8 +108,7 @@ class ScalarField:
 
     def gradient_components(self):
         """Frame components (d/dtheta, (1/sin)d/dphi) at the nodes."""
-        G1, G2 = self.grid.grad_tables
-        return self.coeffs @ G1, self.coeffs @ G2
+        return self.grid.grad_synth(self.coeffs)
 
     def mean_l2(self) -> float:
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
@@ -137,9 +136,9 @@ class TangentField:
         b[grid.ls == 0] = 0.0
         self.a_coeffs = _readonly(a)
         self.b_coeffs = _readonly(b)
-        G1, G2 = grid.grad_tables
-        self.comp1 = _readonly(a @ G1 - b @ G2)
-        self.comp2 = _readonly(a @ G2 + b @ G1)
+        (a1, b1), (a2, b2) = grid.grad_synth(np.stack([a, b]))
+        self.comp1 = _readonly(a1 - b2)
+        self.comp2 = _readonly(a2 + b1)
 
     @classmethod
     def zeros(cls, grid: SphereGrid) -> "TangentField":
@@ -155,13 +154,12 @@ class TangentField:
         """
         comp1 = np.asarray(comp1, dtype=float)
         comp2 = np.asarray(comp2, dtype=float)
-        G1, G2 = grid.grad_tables
-        w1 = grid.weights * comp1
-        w2 = grid.weights * comp2
+        (g1w1, g1w2), (g2w1, g2w2) = grid.grad_project(
+            grid.weights * np.stack([comp1, comp2]))
         lam = grid.lam.copy()
         lam[lam == 0.0] = np.inf
-        a = (G1 @ w1 + G2 @ w2) / lam
-        b = (-G2 @ w1 + G1 @ w2) / lam
+        a = (g1w1 + g2w2) / lam
+        b = (-g2w1 + g1w2) / lam
         field = cls(grid, a, b)
         resid = max(np.max(np.abs(field.comp1 - comp1), initial=0.0),
                     np.max(np.abs(field.comp2 - comp2), initial=0.0))
@@ -186,15 +184,11 @@ class TangentField:
         rotating the first index.
         """
         g = self.grid
-        E1, E2 = g.tfhess_tables
+        ab = np.stack([self.a_coeffs, self.b_coeffs])
         # Hessian of a scalar from its trace-free part and Laplacian:
         # H11 = E1 - lam/2 * Y, H22 = -E1 - lam/2 * Y, H12 = E2 (frame).
-        lamY_a = (-g.lam * self.a_coeffs) @ g.Y
-        lamY_b = (-g.lam * self.b_coeffs) @ g.Y
-        a1 = self.a_coeffs @ E1
-        a2 = self.a_coeffs @ E2
-        b1 = self.b_coeffs @ E1
-        b2 = self.b_coeffs @ E2
+        lamY_a, lamY_b = g.synthesize(-g.lam * ab)
+        (a1, b1), (a2, b2) = g.tfhess_synth(ab)
         Ha = np.empty((g.nnodes, 2, 2))
         Ha[:, 0, 0] = a1 + 0.5 * lamY_a
         Ha[:, 1, 1] = -a1 + 0.5 * lamY_a
@@ -238,9 +232,9 @@ class SymTensorField:
         q[grid.ls < 2] = 0.0
         self.p_coeffs = _readonly(p)
         self.q_coeffs = _readonly(q)
-        E1, E2 = grid.tfhess_tables
-        synth1 = p @ E1 - q @ E2
-        synth2 = p @ E2 + q @ E1
+        (p1, q1), (p2, q2) = grid.tfhess_synth(np.stack([p, q]))
+        synth1 = p1 - q2
+        synth2 = p2 + q1
         if t1 is None:
             t1, t2 = synth1, synth2
             self.tracefree_truncation = 0.0
@@ -276,16 +270,15 @@ class SymTensorField:
         trace = ScalarField.from_values(grid, c11 + c22)
         t1 = 0.5 * (c11 - c22)
         t2 = c12
-        E1, E2 = grid.tfhess_tables
-        w1 = grid.weights * t1
-        w2 = grid.weights * t2
+        (e1w1, e1w2), (e2w1, e2w2) = grid.tfhess_project(
+            grid.weights * np.stack([t1, t2]))
         # inner product of trace-free tensors carries a pointwise factor 2,
         # <T,S> = 2 (t1 s1 + t2 s2), and the basis tensors have squared norm
         # lam (lam - 2) / 2, so the coefficient is 2 <T, basis> / norm.
         norm = 0.5 * grid.lam * (grid.lam - 2.0)
         norm[norm <= 0.0] = np.inf
-        p = 2.0 * (E1 @ w1 + E2 @ w2) / norm
-        q = 2.0 * (-E2 @ w1 + E1 @ w2) / norm
+        p = 2.0 * (e1w1 + e2w2) / norm
+        q = 2.0 * (-e2w1 + e1w2) / norm
         return cls(grid, trace, p, q, t1=t1, t2=t2)
 
     @classmethod

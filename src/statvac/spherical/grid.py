@@ -7,6 +7,16 @@ exactly, which makes the analysis projections of band-limited fields exact
 as well.  The poles are never grid nodes, so the orthonormal frame
 (e_theta, e_phi) is defined at every node; all vector and tensor
 components in this package refer to that frame.
+
+Transforms are separable.  Every table the fields use has entries
+L_lm(theta) * T_m(phi): a latitude factor L (the normalized Legendre
+function, its theta derivative, or a theta factor of the gradient or of the
+trace-free Hessian) times trig rows T (cos/sin(m phi) or their phi
+derivative).  Synthesis sums over l for each signed m and then over m with
+the trig rows; projection runs the same steps transposed.  The cost is
+O(lmax^3) per transform instead of the O(lmax^4) of a dense
+(nmodes x nnodes) product, and the dense tables are built only when asked
+for, as references.
 """
 
 from __future__ import annotations
@@ -20,9 +30,26 @@ from . import harmonics
 
 __all__ = ["SphereGrid", "build_grid"]
 
+# table -> (latitude factor, dphi): dphi picks the phi derivative of the trig
+# rows.  Together with the latitude factors of SphereGrid._factors this is
+# the one place where the derivative formulas live; dense tables, synthesis
+# and projection all read them from here.
+_TABLES = {
+    "Y": ("N", False),
+    "dYdtheta": ("dN", False),
+    "d2Ydtheta2": ("d2N", False),
+    "dYdphi": ("N", True),
+    "d2Ydthetadphi": ("dN", True),
+    # frame gradient (G1, G2) = (d/dtheta, (1/sin) d/dphi); G1 is dYdtheta
+    "G2": ("N/sin", True),
+    # trace-free Hessian (E1, E2) = (H11 + lam/2 Y, H12)
+    "E1": ("E1", False),
+    "E2": ("E2", True),
+}
+
 
 class SphereGrid:
-    """Immutable spherical quadrature grid with spectral tables.
+    """Immutable spherical quadrature grid with separable transforms.
 
     Parameters
     ----------
@@ -47,10 +74,10 @@ class SphereGrid:
         self.nlon = int(nlon)
 
         mu, wgl = leggauss(self.nlat)
-        theta_1d = np.arccos(mu)
-        phi_1d = 2.0 * np.pi * np.arange(self.nlon) / self.nlon
-        self.theta = np.repeat(theta_1d, self.nlon)
-        self.phi = np.tile(phi_1d, self.nlat)
+        self._theta_1d = np.arccos(mu)
+        self._phi_1d = 2.0 * np.pi * np.arange(self.nlon) / self.nlon
+        self.theta = np.repeat(self._theta_1d, self.nlon)
+        self.phi = np.tile(self._phi_1d, self.nlat)
         self.weights = np.repeat(wgl * (2.0 * np.pi / self.nlon), self.nlon)
 
         st, ct = np.sin(self.theta), np.cos(self.theta)
@@ -65,6 +92,11 @@ class SphereGrid:
         self.lam = (self.ls * (self.ls + 1)).astype(float)
         self.nmodes = harmonics.num_modes(self.lmax)
         self.nnodes = self.theta.size
+        # slot of each mode in the (|m|, cos/sin, l) blocks of the transforms,
+        # and the flat index of its partner (l, -m)
+        self._am = np.abs(self.ms)
+        self._side = (self.ms < 0).astype(int)
+        self._partner = self.ls * self.ls + self.ls - self.ms
 
         for arr in (self.theta, self.phi, self.weights, self.nodes,
                     self.e_theta, self.e_phi, self.sin_theta, self.cos_theta,
@@ -72,15 +104,87 @@ class SphereGrid:
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------
-    # spectral tables (built lazily, all shaped (nmodes, nnodes))
+    # separable factors
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def _factors(self) -> dict:
+        """Latitude factors as (lmax+1, lmax+1, nlat) blocks indexed [|m|, l, lat].
+
+        The sqrt(2) of the m != 0 basis functions is folded in; entries with
+        l < |m| are zero.
+        """
+        st = np.sin(self._theta_1d)
+        cot = np.cos(self._theta_1d) / st
+        N, dN = harmonics._normalized_legendre(self.lmax, self._theta_1d)
+        deg = np.arange(self.lmax + 1)
+        scale = np.where(deg == 0, 1.0, np.sqrt(2.0))[:, None, None]
+        N = scale * N.transpose(1, 0, 2)
+        dN = scale * dN.transpose(1, 0, 2)
+        msq = (deg.astype(float) ** 2)[:, None, None]
+        lam = (deg * (deg + 1)).astype(float)[None, :, None]
+        # associated Legendre equation: N'' = -cot N' + (m^2/sin^2 - l(l+1)) N
+        d2N = -cot * dN + (msq / st ** 2 - lam) * N
+        return {"N": N, "dN": dN, "d2N": d2N, "N/sin": N / st,
+                "E1": d2N + 0.5 * lam * N,
+                # H12 = (d2Y/dtheta dphi - cot dY/dphi) / sin
+                "E2": (dN - cot * N) / st}
+
+    @cached_property
+    def _trig(self) -> dict:
+        """Trig rows (lmax+1, 2, nlon): [m, 0] = cos(m phi), [m, 1] = sin(m phi);
+        under the key True their phi derivatives."""
+        m = np.arange(self.lmax + 1)[:, None]
+        mphi = m * self._phi_1d
+        cos, sin = np.cos(mphi), np.sin(mphi)
+        return {False: np.stack([cos, sin], axis=1),
+                True: np.stack([-m * sin, m * cos], axis=1)}
+
+    def _synth(self, table: str, coeffs: np.ndarray) -> np.ndarray:
+        """coeffs @ table over leading batch axes, without building the table."""
+        factor, dphi = _TABLES[table]
+        if dphi:
+            coeffs = self.dphi_coeffs(coeffs)
+        batch = coeffs.shape[:-1]
+        L = self.lmax
+        blocks = np.zeros(batch + (L + 1, 2, L + 1))
+        blocks[..., self._am, self._side, self.ls] = coeffs
+        per_m = (blocks @ self._factors[factor]).reshape(batch + (2 * (L + 1), self.nlat))
+        values = np.swapaxes(per_m, -1, -2) @ self._trig[False].reshape(2 * (L + 1), self.nlon)
+        return values.reshape(batch + (self.nnodes,))
+
+    def _project(self, table: str, values: np.ndarray) -> np.ndarray:
+        """table @ values over leading batch axes, without building the table.
+
+        A phi derivative moves to the coefficients as dphi_coeffs transposed,
+        which is minus dphi_coeffs.
+        """
+        factor, dphi = _TABLES[table]
+        batch = values.shape[:-1]
+        L = self.lmax
+        trig = self._trig[False].reshape(2 * (L + 1), self.nlon)
+        per_m = values.reshape(batch + (self.nlat, self.nlon)) @ trig.T
+        per_m = np.swapaxes(per_m, -1, -2).reshape(batch + (L + 1, 2, self.nlat))
+        blocks = per_m @ np.swapaxes(self._factors[factor], 1, 2)
+        coeffs = blocks[..., self._am, self._side, self.ls]
+        return -self.dphi_coeffs(coeffs) if dphi else coeffs
+
+    def _dense(self, table: str) -> np.ndarray:
+        """The (nmodes, nnodes) table itself, as outer products per mode."""
+        factor, dphi = _TABLES[table]
+        lat = self._factors[factor][self._am, self.ls]
+        trig = self._trig[dphi][self._am, self._side]
+        out = (lat[:, :, None] * trig[:, None, :]).reshape(self.nmodes, self.nnodes)
+        out.setflags(write=False)
+        return out
+
+    # ------------------------------------------------------------------
+    # dense reference tables (built lazily, all shaped (nmodes, nnodes))
     # ------------------------------------------------------------------
 
     @cached_property
     def _tables(self):
-        Y, dY = harmonics.harmonic_tables(self.lmax, self.theta, self.phi)
-        Y.setflags(write=False)
-        dY.setflags(write=False)
-        return Y, dY
+        return self._dense("Y"), self._dense("dYdtheta")
 
     @property
     def Y(self) -> np.ndarray:
@@ -93,58 +197,20 @@ class SphereGrid:
 
     @cached_property
     def d2Ydtheta2(self) -> np.ndarray:
-        # Second theta derivative from the associated Legendre equation:
-        # P'' = -cot(theta) P' + (m^2/sin^2(theta) - l(l+1)) P.
-        cot = self.cos_theta / self.sin_theta
-        msq = (self.ms.astype(float) ** 2)[:, None]
-        lam = self.lam[:, None]
-        out = -cot[None, :] * self.dYdtheta + (msq / self.sin_theta[None, :] ** 2 - lam) * self.Y
-        out.setflags(write=False)
-        return out
-
-    def dphi_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of the longitude derivative of a field.
-
-        cos(m phi) rows exchange with sin(m phi) rows under d/dphi, so the
-        operation is a signed permutation in coefficient space.
-        """
-        out = np.zeros_like(coeffs)
-        m = self.ms
-        pos = m > 0
-        neg = m < 0
-        # index of the partner mode (l, -m)
-        partner = (self.ls * self.ls + self.ls - self.ms)
-        out[partner[pos]] = -m[pos] * coeffs[pos]
-        out[partner[neg]] = -m[neg] * coeffs[neg]
-        return out
+        return self._dense("d2Ydtheta2")
 
     @cached_property
     def dYdphi(self) -> np.ndarray:
-        out = np.zeros_like(self.Y)
-        m = self.ms
-        partner = (self.ls * self.ls + self.ls - self.ms)
-        nz = m != 0
-        out[nz] = -m[nz, None] * self.Y[partner[nz]]
-        out.setflags(write=False)
-        return out
+        return self._dense("dYdphi")
 
     @cached_property
     def d2Ydthetadphi(self) -> np.ndarray:
-        out = np.zeros_like(self.Y)
-        m = self.ms
-        partner = (self.ls * self.ls + self.ls - self.ms)
-        nz = m != 0
-        out[nz] = -m[nz, None] * self.dYdtheta[partner[nz]]
-        out.setflags(write=False)
-        return out
+        return self._dense("d2Ydthetadphi")
 
     @cached_property
     def grad_tables(self):
         """Frame components of grad Y_lm: (G1, G2) = (d/dtheta, (1/sin)d/dphi)."""
-        G1 = self.dYdtheta
-        G2 = self.dYdphi / self.sin_theta[None, :]
-        G2.setflags(write=False)
-        return G1, G2
+        return self.dYdtheta, self._dense("G2")
 
     @cached_property
     def tfhess_tables(self):
@@ -153,33 +219,49 @@ class SphereGrid:
         E1 is the (theta,theta) component minus half the Laplacian, E2 the
         (theta,phi) frame component.  The (phi,phi) component is -E1.
         """
-        st = self.sin_theta[None, :]
-        cot = (self.cos_theta / self.sin_theta)[None, :]
-        H11 = self.d2Ydtheta2
-        H12 = (self.d2Ydthetadphi - cot * self.dYdphi) / st
-        E1 = H11 + 0.5 * self.lam[:, None] * self.Y
-        E2 = H12
-        E1.setflags(write=False)
-        E2.setflags(write=False)
-        return E1, E2
+        return self._dense("E1"), self._dense("E2")
 
     # ------------------------------------------------------------------
-    # transforms
+    # transforms; every one takes leading batch axes
     # ------------------------------------------------------------------
+
+    def dphi_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients of the longitude derivative of a field.
+
+        cos(m phi) rows exchange with sin(m phi) rows under d/dphi, so the
+        operation is a signed permutation in coefficient space.
+        """
+        return self.ms * coeffs[..., self._partner]
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Project node values onto the basis by quadrature."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.nnodes,):
+        if values.shape[-1:] != (self.nnodes,):
             raise ValueError("values must be a flat array over the grid nodes")
-        return self.Y @ (self.weights * values)
+        return self._project("Y", self.weights * values)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a coefficient vector at the grid nodes."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.nmodes,):
+        if coeffs.shape[-1:] != (self.nmodes,):
             raise ValueError("coefficient vector has the wrong length")
-        return coeffs @ self.Y
+        return self._synth("Y", coeffs)
+
+    def grad_synth(self, coeffs: np.ndarray):
+        """(coeffs @ G1, coeffs @ G2): frame gradient components at the nodes."""
+        return self._synth("dYdtheta", coeffs), self._synth("G2", coeffs)
+
+    def grad_project(self, values: np.ndarray):
+        """(G1 @ values, G2 @ values); quadrature weights are the caller's."""
+        return self._project("dYdtheta", values), self._project("G2", values)
+
+    def tfhess_synth(self, coeffs: np.ndarray):
+        """(coeffs @ E1, coeffs @ E2): trace-free Hessian components at the nodes."""
+        return self._synth("E1", coeffs), self._synth("E2", coeffs)
+
+    def tfhess_project(self, values: np.ndarray):
+        """(E1 @ values, E2 @ values); quadrature weights are the caller's."""
+        return self._project("E1", values), self._project("E2", values)
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature integral of node values over the sphere."""

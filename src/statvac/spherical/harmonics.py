@@ -34,13 +34,9 @@ def index_of(l: int, m: int) -> int:
 
 def mode_table(lmax: int):
     """Arrays (ls, ms) giving the degree and order of each flat index."""
-    ls = np.empty(num_modes(lmax), dtype=int)
-    ms = np.empty(num_modes(lmax), dtype=int)
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            ls[index_of(l, m)] = l
-            ms[index_of(l, m)] = m
-    return ls, ms
+    k = np.arange(num_modes(lmax))
+    ls = np.sqrt(k).astype(int)
+    return ls, k - ls * ls - ls
 
 
 def _normalized_legendre(lmax: int, theta: np.ndarray):
@@ -109,21 +105,12 @@ def harmonic_tables(lmax: int, theta: np.ndarray, phi: np.ndarray):
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
     N, dN = _normalized_legendre(lmax, theta)
-    nmode = num_modes(lmax)
-    Y = np.zeros((nmode, theta.size))
-    dY = np.zeros_like(Y)
-    sqrt2 = np.sqrt(2.0)
-    cosm = [np.cos(m * phi) for m in range(lmax + 1)]
-    sinm = [np.sin(m * phi) for m in range(lmax + 1)]
-    for l in range(lmax + 1):
-        Y[index_of(l, 0)] = N[l, 0]
-        dY[index_of(l, 0)] = dN[l, 0]
-        for m in range(1, l + 1):
-            Y[index_of(l, m)] = sqrt2 * N[l, m] * cosm[m]
-            Y[index_of(l, -m)] = sqrt2 * N[l, m] * sinm[m]
-            dY[index_of(l, m)] = sqrt2 * dN[l, m] * cosm[m]
-            dY[index_of(l, -m)] = sqrt2 * dN[l, m] * sinm[m]
-    return Y, dY
+    ls, ms = mode_table(lmax)
+    am = np.abs(ms)
+    scale = np.where(ms == 0, 1.0, np.sqrt(2.0))[:, None]
+    mphi = am[:, None] * phi
+    trig = np.where(ms[:, None] < 0, np.sin(mphi), np.cos(mphi))
+    return scale * N[ls, am] * trig, scale * dN[ls, am] * trig
 
 
 def angles_from_directions(points: np.ndarray):

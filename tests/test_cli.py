@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from statvac import cli, io as svio, mass
-from statvac.spherical import operators
+from statvac.spherical import harmonics, operators
+from statvac.spherical.grid import SphereGrid
 
 ROOT4PI = math.sqrt(4.0 * math.pi)
 
@@ -83,6 +84,61 @@ def test_fields_csv_sweep_matches_the_closed_quadratic(tmp_path, capsys):
         assert abs(total - second_order_mass(c, eps)) < 1e-12
         assert abs(float(cells[4]) - 0.5 * total) < 1e-15
         assert cells[5] == "" and cells[6] == "" and cells[7] == ""
+
+
+def band4_case(seed):
+    """Random boundary data supported on degrees <= 4."""
+    rng = np.random.default_rng(seed)
+    ls, ms = harmonics.mode_table(4)
+
+    def block(min_l):
+        return [{"l": int(l), "m": int(m), "value": float(0.02 * rng.standard_normal())}
+                for l, m in zip(ls, ms) if l >= min_l]
+
+    return {"gamma1": {"trace": block(0), "p": block(2), "q": block(2)},
+            "H1": block(0)}
+
+
+def test_fields_at_lmax_128_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--mode", "fields", "--lmax", "128")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["m1"] == 0.0
+
+
+def test_band_limited_input_gives_the_same_masses_at_any_lmax(tmp_path, capsys):
+    path = write_json(tmp_path / "band4.json", {"cases": [band4_case(s) for s in (1, 2)]})
+    reports = {}
+    for lmax in ("16", "128"):
+        code, out, _ = run_cli(capsys, "--mode", "fields", "--lmax", lmax,
+                               "--input", path)
+        assert code == 0
+        reports[lmax] = json.loads(out)["reports"]
+    for low, high in zip(reports["16"], reports["128"]):
+        for key in ("m1", "m2"):
+            assert abs(high[key] - low[key]) <= 1e-12 * abs(low[key]), key
+
+
+def test_fields_reports_every_truncation(tmp_path, capsys):
+    path = write_json(tmp_path / "band4.json", band4_case(3))
+    code, out, _ = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                           "--input", path)
+    assert code == 0
+    diagnostics = json.loads(out)["reports"][0]["diagnostics"]
+    for key in ("h1_truncation", "trace_truncation", "tracefree_truncation"):
+        assert 0.0 <= diagnostics[key] <= 1e-13, key
+
+
+def test_cli_field_paths_build_no_dense_table(tmp_path, capsys, monkeypatch):
+    def refuse(grid, table):
+        raise AssertionError(f"dense table {table} built")
+
+    monkeypatch.setattr(SphereGrid, "_dense", refuse)
+    data = write_json(tmp_path / "band4.json", band4_case(4))
+    jet = write_json(tmp_path / "jet.json", {"ric": np.diag([1.0, 0.5, 0.0]).tolist()})
+    for argv in (("--mode", "fields", "--input", data),
+                 ("--mode", "small-sphere", "--input", jet, "--tau", "0.01", "0.02")):
+        code, _, _ = run_cli(capsys, *argv, "--lmax", "8")
+        assert code == 0
 
 
 def test_small_sphere_anchor_values(tmp_path, capsys):

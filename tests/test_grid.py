@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statvac.spherical import harmonics
 from statvac.spherical.grid import SphereGrid, build_grid
@@ -117,3 +118,75 @@ def test_wide_grid_same_integrals(grid8):
     vals = grid8.nodes[:, 2] ** 4
     wide_vals = wide.nodes[:, 2] ** 4
     assert abs(grid8.integrate(vals) - wide.integrate(wide_vals)) < 1e-13
+
+
+def separable_pairs(g):
+    """(name, dense table, synthesis c -> c @ T, projection v -> T @ v) for each table."""
+    G1, G2 = g.grad_tables
+    E1, E2 = g.tfhess_tables
+    return (
+        ("Y", g.Y, g.synthesize, lambda v: g.analyze(v / g.weights)),
+        ("G1 = dYdtheta", G1, lambda c: g.grad_synth(c)[0],
+         lambda v: g.grad_project(v)[0]),
+        ("G2", G2, lambda c: g.grad_synth(c)[1], lambda v: g.grad_project(v)[1]),
+        ("E1", E1, lambda c: g.tfhess_synth(c)[0], lambda v: g.tfhess_project(v)[0]),
+        ("E2", E2, lambda c: g.tfhess_synth(c)[1], lambda v: g.tfhess_project(v)[1]),
+    )
+
+
+def check_separable_against_dense(g, rng):
+    """Each separable product matches the dense table to 1e-13 relative.
+
+    Inputs carry a batch axis of 2, so batching is checked too.  The scale
+    has a floor of 1 because the trace-free Hessian tables vanish
+    identically at lmax <= 1, where only roundoff is left to compare.
+    """
+    coeffs = rng.normal(size=(2, g.nmodes))
+    values = rng.normal(size=(2, g.nnodes))
+    for name, table, synth, project in separable_pairs(g):
+        for got, want in ((synth(coeffs), coeffs @ table),
+                          (project(values), values @ table.T)):
+            assert got.shape == want.shape, name
+            scale = max(np.max(np.abs(want)), 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, g)
+
+
+@pytest.mark.parametrize("args", [(0,), (1,), (4,), (8,), (16,), (8, 14, 29)])
+def test_separable_transforms_match_dense_tables(args, rng):
+    check_separable_against_dense(build_grid(*args), rng)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lmax=st.integers(0, 12), extra_lat=st.integers(0, 4),
+       extra_lon=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_separable_transforms_match_dense_on_drawn_grids(lmax, extra_lat, extra_lon, seed):
+    grid = build_grid(lmax, nlat=lmax + 1 + extra_lat, nlon=2 * lmax + 1 + extra_lon)
+    check_separable_against_dense(grid, np.random.default_rng(seed))
+
+
+def test_harmonic_tables_match_the_per_mode_loop(rng):
+    """The vectorized layout and arithmetic equal a loop over (l, m) exactly."""
+    lmax = 6
+    theta = rng.uniform(0.1, 3.0, size=30)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=30)
+    ls, ms = harmonics.mode_table(lmax)
+    Y, dY = harmonics.harmonic_tables(lmax, theta, phi)
+    N, dN = harmonics._normalized_legendre(lmax, theta)
+    sqrt2 = np.sqrt(2.0)
+    for l in range(lmax + 1):
+        for m in range(-l, l + 1):
+            k = harmonics.index_of(l, m)
+            assert (ls[k], ms[k]) == (l, m)
+            if m == 0:
+                want, dwant = N[l, 0], dN[l, 0]
+            else:
+                trig = np.cos(m * phi) if m > 0 else np.sin(-m * phi)
+                want = sqrt2 * N[l, abs(m)] * trig
+                dwant = sqrt2 * dN[l, abs(m)] * trig
+            np.testing.assert_array_equal(Y[k], want)
+            np.testing.assert_array_equal(dY[k], dwant)
+
+
+def test_dphi_coeffs_transpose_is_its_negative(grid8):
+    D = grid8.dphi_coeffs(np.eye(grid8.nmodes))
+    np.testing.assert_array_equal(D.T, -D)
