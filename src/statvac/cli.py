@@ -122,14 +122,16 @@ def _report_row(report: mass.MassReport) -> dict:
 
 def _gate_residuals(report: mass.MassReport) -> None:
     residuals = report.diagnostics.get("residuals", {})
-    worst = max(residuals.values(), default=0.0)
-    if worst > RESIDUAL_LIMIT:
-        block = {
-            "error": "boundary solver residual above threshold",
-            "limit": RESIDUAL_LIMIT,
-            "residuals": residuals,
-        }
-        raise _Outcome(EXIT_RESIDUAL, io.dump_json(block))
+    # written so that a NaN residual fails the gate too
+    if all(r <= RESIDUAL_LIMIT for r in residuals.values()):
+        return
+    block = {
+        "error": "boundary solver residual above threshold",
+        "limit": RESIDUAL_LIMIT,
+        "residuals": {name: r if math.isfinite(r) else None
+                      for name, r in residuals.items()},
+    }
+    raise _Outcome(EXIT_RESIDUAL, io.dump_json(block))
 
 
 def run_fields(config: RunConfig) -> str:

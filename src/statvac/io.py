@@ -60,7 +60,10 @@ def dump_json(obj) -> str:
 def _entry_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: value must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(f"{where}: value must be finite")
     return value
@@ -71,22 +74,25 @@ def coeff_vector(block, lmax: int, where: str, min_l: int = 0) -> np.ndarray:
 
     The block is either {"lmax": n, "coeffs": [...]} or a bare entry
     list; entries are {"l", "m", "value"} objects.  Entries must stay
-    within the run band limit and above ``min_l``, and no (l, m) pair
-    may repeat.
+    within the block's own lmax (if given, itself at most the run band
+    limit) and above ``min_l``, and no (l, m) pair may repeat.
     """
     if block is None:
         return np.zeros(harmonics.num_modes(lmax))
+    entry_lmax = lmax
     if isinstance(block, dict):
         extra = set(block) - {"lmax", "coeffs"}
         if extra:
             raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
         blk_lmax = block.get("lmax")
         if blk_lmax is not None:
-            if not isinstance(blk_lmax, int) or blk_lmax < 0:
+            if (not isinstance(blk_lmax, int) or isinstance(blk_lmax, bool)
+                    or blk_lmax < 0):
                 raise SchemaError(f"{where}.lmax: must be a nonnegative integer")
             if blk_lmax > lmax:
                 raise SchemaError(f"{where}.lmax: {blk_lmax} exceeds the run "
                                   f"band limit {lmax}")
+            entry_lmax = blk_lmax
         entries = block.get("coeffs", [])
     else:
         entries = block
@@ -113,8 +119,9 @@ def coeff_vector(block, lmax: int, where: str, min_l: int = 0) -> np.ndarray:
         if l < min_l:
             raise SchemaError(f"{spot}: degree {l} below the minimum {min_l} "
                               "for this block")
-        if l > lmax:
-            raise SchemaError(f"{spot}: degree {l} exceeds the band limit {lmax}")
+        if l > entry_lmax:
+            raise SchemaError(f"{spot}: degree {l} exceeds the band limit "
+                              f"{entry_lmax}")
         if abs(m) > l:
             raise SchemaError(f"{spot}: order {m} outside [-{l}, {l}]")
         if (l, m) in seen:
@@ -160,7 +167,10 @@ def case_tau(obj, where: str):
     tau = obj["tau"]
     if isinstance(tau, bool) or not isinstance(tau, (int, float)):
         raise SchemaError(f"{where}.tau: must be a number")
-    tau = float(tau)
+    try:
+        tau = float(tau)
+    except OverflowError:  # an integer beyond the float range
+        tau = math.inf
     if not (tau > 0.0 and math.isfinite(tau)):
         raise SchemaError(f"{where}.tau: must be positive and finite")
     return tau

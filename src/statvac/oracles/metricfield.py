@@ -118,6 +118,23 @@ class MetricField:
                         bracket.reshape(3, 9, -1).transpose(2, 0, 1))
         return 0.5 * gam.reshape(-1, 3, 3, 3)
 
+    def geodesic_acceleration(self, points: np.ndarray,
+                              velocities: np.ndarray) -> np.ndarray:
+        """-Gamma^c_ab v^a v^b at the given points, without forming Gamma.
+
+        Points, velocities and the result are (npts, 3).  With
+        u[c, d] = d_c g_db v^b, the lowered contraction
+        w_d = (d_a g_db - 1/2 d_d g_ab) v^a v^b is v^a u[a, d] - 1/2 u[d, a] v^a,
+        and the acceleration is -g^{cd} w_d.
+        """
+        # component-major with points last, as in christoffel
+        v = np.asarray(velocities, dtype=float).reshape(-1, 3).T
+        g = self(points).transpose(1, 2, 0)
+        dg = self.gradient(points).transpose(1, 2, 3, 0)
+        u = np.einsum("cabn,bn->can", dg, v)
+        w = np.einsum("an,adn->dn", v, u) - 0.5 * np.einsum("dan,an->dn", u, v)
+        return -np.einsum("cdn,dn->nc", _inverse3(g), w)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -455,10 +455,17 @@ def _suite_taylor(rng, lmax, fast):
     ggrid = build_grid(12)
     center = np.zeros(3)
     checks = {}
+    runs = []
+
+    def sphere(metric, tau):
+        diag = {}
+        data = geodesic_sphere(metric, center, tau, ggrid, diagnostics=diag)
+        runs.append(diag)
+        return data
 
     worst = 0.0
     for k in ((0.7,) if fast else (0.7, -0.55)):
-        data = geodesic_sphere(MetricField.space_form(k), center, 0.1, ggrid)
+        data = sphere(MetricField.space_form(k), 0.1)
         factor, scaled_h = space_form_reference(k, 0.1)
         c11, c12, c22 = data.gamma1.components()
         worst = max(worst,
@@ -481,7 +488,7 @@ def _suite_taylor(rng, lmax, fast):
                 break
         gaps = []
         for tau in taus:
-            measured = geodesic_sphere(metric, center, tau, ggrid)
+            measured = sphere(metric, tau)
             predicted = small_sphere_data(jet, tau, 4, ggrid)
             gaps.append(_taylor_gap(measured, predicted))
         slope = float(np.polyfit(np.log(taus), np.log(gaps), 1)[0])
@@ -495,7 +502,7 @@ def _suite_taylor(rng, lmax, fast):
                              0.017, 0.0185, 0.02])
         ratios = []
         for tau in fit_taus:
-            data = geodesic_sphere(metric, center, tau, ggrid)
+            data = sphere(metric, tau)
             ratios.append(hawking_mass(data.gamma1, data.H1))
         u = fit_taus ** 2
         design = np.stack([np.ones_like(u), u, u * u, u ** 3], axis=1)
@@ -504,12 +511,22 @@ def _suite_taylor(rng, lmax, fast):
         c5_res = abs(coef[2] - ref.hawking_c5) / abs(ref.hawking_c5)
         checks["hawking_cubic_coefficient"] = _check(c3_res, 1e-2)
         checks["hawking_quintic_coefficient"] = _check(c5_res, 1e-2)
+    # integrator effort and accuracy over every sphere; outside the checks,
+    # so they do not enter the verdict
+    diagnostics = {
+        "num_steps": sum(d["num_steps"] for d in runs),
+        "nfev": sum(d["nfev"] for d in runs),
+        "max_speed_drift": max(d["speed_drift"] for d in runs),
+        "max_richardson_gap": max(d["richardson_gap"] for d in runs),
+        "min_det": min(d["min_det"] for d in runs),
+    }
     # solve_ivp leaves each solver in a reference cycle that holds its step
-    # arrays (about 2.7 MB per sphere here).  Only a full collection frees
+    # arrays (about 5.1 MB per sphere here, mostly DOP853's 16 stage
+    # vectors of the 33150-long state).  Only a full collection frees
     # them, and a process that runs verify repeatedly seldom reaches one, so
     # without this its memory grows by every call's spheres.
     gc.collect()
-    return checks
+    return checks, diagnostics
 
 
 _SUITES = {
@@ -529,13 +546,21 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, lmax: int = 16, fast: bool = True) -> dict:
-    """Run one suite; the rng depends only on (seed, suite), not the subset."""
+    """Run one suite; the rng depends only on (seed, suite), not the subset.
+
+    A suite returns its checks, or (checks, diagnostics) when it also has
+    run indicators to report; those go in a separate "diagnostics" block.
+    """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     index = SUITE_NAMES.index(name)
     rng = np.random.default_rng([seed, index])
-    checks = _SUITES[name](rng, lmax, fast)
-    return {"checks": checks, "passed": all(c["passed"] for c in checks.values())}
+    out = _SUITES[name](rng, lmax, fast)
+    checks, diagnostics = out if isinstance(out, tuple) else (out, None)
+    result = {"checks": checks, "passed": all(c["passed"] for c in checks.values())}
+    if diagnostics is not None:
+        result["diagnostics"] = diagnostics
+    return result
 
 
 def run_all(names=None, seed: int = 0, lmax: int = 16, fast: bool = True) -> dict:

@@ -210,6 +210,17 @@ def test_runs_are_byte_identical(tmp_path):
         outs.append(target.read_bytes())
     assert outs[2] == outs[3]
 
+    for name in ("t1.json", "t2.json"):
+        target = tmp_path / name
+        code = cli.main(["--mode", "verify", "--only", "taylor",
+                         "--lmax", "8", "--seed", "7",
+                         "--output", str(target)])
+        assert code == 0
+        outs.append(target.read_bytes())
+    assert outs[4] == outs[5]
+    diagnostics = json.loads(outs[4])["suites"]["taylor"]["diagnostics"]
+    assert diagnostics["nfev"] > diagnostics["num_steps"] > 0
+
 
 def test_output_file_keeps_stdout_clean(tmp_path, capsys):
     target = tmp_path / "out.json"
@@ -280,6 +291,36 @@ def test_residual_gate_exits_3(monkeypatch, capsys):
     block = json.loads(out)
     assert block["residuals"]["d"] == 1e-3
     assert block["limit"] == cli.RESIDUAL_LIMIT
+
+
+def test_nan_residuals_exit_3_with_strict_json(tmp_path, capsys):
+    """A coefficient near the float limit overflows the solve; its NaN
+    residuals must fail the gate and be written as null."""
+    path = write_json(tmp_path / "huge.json",
+                      {"H1": [{"l": 1, "m": 0, "value": 1e308}]})
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                               "--input", path)
+    assert code == 3
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    block = json.loads(out, parse_constant=reject)
+    assert block["residuals"]["b"] is None and block["residuals"]["c"] is None
+
+
+def test_integers_beyond_the_float_range_exit_2(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    for name, text in (
+            ("value.json", '{"H1": [{"l": 1, "m": 0, "value": %s}]}' % huge),
+            ("tau.json", '{"cases": [{"tau": %s}]}' % huge)):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                                 "--input", str(path))
+        assert code == 2 and out == "", name
+        assert err.startswith("schema error:") and "finite" in err, name
 
 
 def test_tampered_multiplier_fails_verification(monkeypatch, capsys):

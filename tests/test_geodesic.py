@@ -60,6 +60,22 @@ def test_space_form_spheres_match_the_closed_reference():
         assert np.max(pert.gamma1.tracefree_norm_sq_values()) < 1e-22
         np.testing.assert_allclose(pert.H1.values, scaled_h + 2.0, atol=1e-11)
         assert diag["speed_drift"] < 1e-12
+        assert diag["nfev"] > diag["num_steps"] > 1
+
+
+def test_geodesic_sphere_never_forms_christoffel_symbols(monkeypatch):
+    calls = []
+    original = MetricField.christoffel
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricField, "christoffel", counted)
+    pert = geodesic_sphere(MetricField.space_form(0.6), (0.0, 0.0, 0.0), 0.1,
+                           build_grid(6))
+    assert np.all(np.isfinite(pert.H1.values))
+    assert calls == []
 
 
 def test_space_form_spheres_match_the_taylor_data():

@@ -48,6 +48,9 @@ def test_coeff_vector_reads_both_block_forms():
     [{"l": 1, "m": 0, "value": float("nan")}],
     [{"l": 1, "m": 0, "value": float("inf")}],
     [{"l": 1, "m": 0, "value": 1.0}, {"l": 1, "m": 0, "value": 2.0}],
+    [{"l": 1, "m": 0, "value": 10 ** 400}],         # beyond the float range
+    {"lmax": 2, "coeffs": [{"l": 5, "m": 0, "value": 1.0}]},  # beyond own lmax
+    {"lmax": True, "coeffs": []},
 ])
 def test_coeff_vector_rejects_malformed_blocks(block):
     with pytest.raises(svio.SchemaError):
@@ -103,7 +106,7 @@ def test_case_tau_validation():
     assert svio.case_tau(None, "w") is None
     assert svio.case_tau({}, "w") is None
     assert svio.case_tau({"tau": 2}, "w") == 2.0
-    for bad in (True, "x", -0.1, 0.0, float("nan"), float("inf")):
+    for bad in (True, "x", -0.1, 0.0, float("nan"), float("inf"), 10 ** 400):
         with pytest.raises(svio.SchemaError):
             svio.case_tau({"tau": bad}, "w")
 

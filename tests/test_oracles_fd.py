@@ -92,6 +92,29 @@ def test_christoffel_matches_the_inverse_formula(rng):
     assert relative_gap(metric.christoffel(pts), ref) <= 1e-13
 
 
+def test_geodesic_acceleration_matches_the_christoffel_contraction(rng):
+    def rho(pts):
+        return 1.0 + 0.3 * pts[:, 0] + 0.2 * np.sum(pts * pts, axis=1)
+
+    def drho(pts):
+        return 0.4 * pts + np.array([0.3, 0.0, 0.0])
+
+    metrics = (
+        MetricField.polynomial(*symmetric_polynomial_coefficients(rng)),
+        MetricField.conformal(rho, drho),
+        MetricField.space_form(0.7),
+        MetricField.space_form(-0.9),
+        MetricField.conformal(rho),  # no exact gradient: the FD path
+    )
+    pts = rng.uniform(-0.3, 0.3, size=(9, 3))
+    vel = rng.standard_normal((9, 3))
+    for metric in metrics:
+        ref = -np.einsum("ncab,na,nb->nc", metric.christoffel(pts), vel, vel)
+        acc = metric.geodesic_acceleration(pts, vel)
+        assert acc.shape == (9, 3)
+        assert relative_gap(acc, ref) <= 1e-13, metric.label
+
+
 @pytest.mark.parametrize("g", [
     np.zeros((3, 3)),
     np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
