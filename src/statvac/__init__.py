@@ -13,7 +13,6 @@ from .boundary import (
     BartnikPerturbation,
     BoundarySolution,
     HarmonicExterior,
-    dirichlet_energy,
     harmonic_from_vrr,
     solve_boundary_system,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "BoundarySolution",
     "solve_boundary_system",
     "harmonic_from_vrr",
-    "dirichlet_energy",
     "Riemann3",
     "riemann_from_ricci",
     "quadratic_invariants",

@@ -41,7 +41,6 @@ __all__ = [
     "BoundarySolution",
     "harmonic_from_vrr",
     "solve_boundary_system",
-    "dirichlet_energy",
 ]
 
 
@@ -156,11 +155,6 @@ def harmonic_from_vrr(grid: SphereGrid, vrr: ScalarField) -> HarmonicExterior:
     """
     ls = grid.ls.astype(float)
     return HarmonicExterior(grid, vrr.coeffs / ((ls + 1.0) * (ls + 2.0)))
-
-
-def dirichlet_energy(v: HarmonicExterior) -> float:
-    """Closed-form exterior Dirichlet energy, equal to -(boundary v * v_r integral)."""
-    return v.dirichlet_energy()
 
 
 def solve_boundary_system(data: BartnikPerturbation) -> BoundarySolution:

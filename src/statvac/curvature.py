@@ -26,10 +26,6 @@ from .spherical.fields import ScalarField, SymTensorField
 from .spherical.grid import SphereGrid
 
 __all__ = [
-    "TRI6",
-    "sym3_to_vec",
-    "vec_to_sym3",
-    "SymMat3",
     "Riemann3",
     "riemann_from_ricci",
     "quadratic_invariants",
@@ -41,52 +37,11 @@ __all__ = [
     "reference_expansions",
 ]
 
-# upper-triangle component order used by every 6-vector in this package
-TRI6 = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_i, _j, _k] = 1.0
     _EPS3[_i, _k, _j] = -1.0
 _EPS3.setflags(write=False)
-
-
-def sym3_to_vec(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    return np.array([mat[i, j] for i, j in TRI6])
-
-
-def vec_to_sym3(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    out = np.zeros((3, 3))
-    for val, (i, j) in zip(vec, TRI6):
-        out[i, j] = val
-        out[j, i] = val
-    return out
-
-
-class SymMat3:
-    """Symmetric 3x3 matrix wrapper with 6-vector serialization."""
-
-    def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
-        if np.max(np.abs(mat - mat.T)) > 1e-12 * (1.0 + np.max(np.abs(mat))):
-            raise ValueError("matrix is not symmetric")
-        self.mat = 0.5 * (mat + mat.T)
-        self.mat.setflags(write=False)
-
-    @classmethod
-    def from_vec(cls, vec) -> "SymMat3":
-        return cls(vec_to_sym3(vec))
-
-    def to_vec(self) -> np.ndarray:
-        return sym3_to_vec(self.mat)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.mat))
 
 
 class Riemann3:
@@ -337,11 +292,6 @@ def jet_from_arrays(ric: np.ndarray, dric: np.ndarray,
     return CurvatureJet(ric, dric, d2)
 
 
-def _derivative_riemann(dric_slice: np.ndarray) -> np.ndarray:
-    """Reconstruction formula applied to a Ricci derivative (metric parallel)."""
-    return _riemann_dense(dric_slice)
-
-
 def small_sphere_data(jet: CurvatureJet, tau: float, order: int,
                       grid: SphereGrid) -> BartnikPerturbation:
     """Taylor data of the geodesic sphere of radius tau, scaled to the unit sphere.
@@ -387,7 +337,7 @@ def small_sphere_data(jet: CurvatureJet, tau: float, order: int,
     H = (tau ** 2 / 3.0) * np.einsum("ij,ni,nj->n", jet.ric, x, x)
 
     if order >= 3:
-        dRm = np.stack([_derivative_riemann(jet.dric[e]) for e in range(3)])
+        dRm = np.stack([_riemann_dense(jet.dric[e]) for e in range(3)])
         dQ = np.einsum("eijkl,ne,nj,nl->nik", dRm, x, x, x)
         d11, d12, d22 = frame(dQ)
         c11 = c11 + (tau ** 3 / 6.0) * d11

@@ -145,7 +145,9 @@ def data_from_dict(obj, grid: SphereGrid, where: str = "input") -> BartnikPertur
     extra = set(obj) - {"gamma1", "H1", "tau"}
     if extra:
         raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
-    gamma_obj = obj.get("gamma1") or {}
+    gamma_obj = obj.get("gamma1")
+    if gamma_obj is None:
+        gamma_obj = {}
     if not isinstance(gamma_obj, dict):
         raise SchemaError(f"{where}.gamma1: expected a JSON object")
     extra = set(gamma_obj) - {"trace", "p", "q"}
@@ -176,13 +178,24 @@ def case_tau(obj, where: str):
     return tau
 
 
+def _all_numbers(value) -> bool:
+    """True for a number or a nested list whose leaves are all numbers."""
+    if isinstance(value, list):
+        return all(_all_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _block_array(obj, key: str, shape, where: str) -> np.ndarray:
     if key not in obj or obj[key] is None:
         return np.zeros(shape)
+    if not _all_numbers(obj[key]):
+        raise SchemaError(f"{where}.{key}: not a numeric array")
     try:
         arr = np.asarray(obj[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # ragged nesting
         raise SchemaError(f"{where}.{key}: not a numeric array") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SchemaError(f"{where}.{key}: entries must be finite") from exc
     if arr.shape != shape:
         raise SchemaError(f"{where}.{key}: expected shape {shape}, "
                           f"got {arr.shape}")

@@ -179,9 +179,9 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     c22 = pair(y_ph_fd, y_ph_fd) / scale / grid.sin_theta ** 2 - 1.0
 
     # spectral tangents of the probe map, for the curvature quotient
-    ycoef = np.stack([grid.analyze(y0[:, c]) for c in range(3)])
-    y_th = np.stack([ycoef[c] @ grid.dYdtheta for c in range(3)], axis=1)
-    y_ph = np.stack([ycoef[c] @ grid.dYdphi for c in range(3)], axis=1)
+    ycoef = grid.analyze(y0.T)
+    y_th = grid.synth("dYdtheta", ycoef).T
+    y_ph = grid.synth("dYdphi", ycoef).T
 
     n_cov = np.cross(y_th, y_ph)
     ginv = np.linalg.inv(gy)
@@ -195,9 +195,9 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         raise NumericalFailure("surface normal orthogonal to the probe")
     nu = nu * orient[:, None]
 
-    nucoef = np.stack([grid.analyze(nu[:, c]) for c in range(3)])
-    nu_th = np.stack([nucoef[c] @ grid.dYdtheta for c in range(3)], axis=1)
-    nu_ph = np.stack([nucoef[c] @ grid.dYdphi for c in range(3)], axis=1)
+    nucoef = grid.analyze(nu.T)
+    nu_th = grid.synth("dYdtheta", nucoef).T
+    nu_ph = grid.synth("dYdphi", nucoef).T
 
     dg_nu = np.einsum("ncab,nc->nab", metric.gradient(y0), nu)
 

@@ -90,27 +90,6 @@ def random_deformation(grid: SphereGrid, rng: np.random.Generator,
     return DeformationParams(f=f, X=X, vperp=v)
 
 
-def _component_coeffs(grid: SphereGrid, vectors: np.ndarray) -> np.ndarray:
-    """Analyze each Cartesian component of a node-vector array, (3, nmodes)."""
-    return np.stack([grid.analyze(vectors[:, c]) for c in range(3)])
-
-
-def _tangential_matrix(grid: SphereGrid, vectors: np.ndarray) -> np.ndarray:
-    """D[n, c, j] = tangential derivative of component c along axis j.
-
-    The input is a vector field sampled on the sphere; the field is
-    extended radially constant, so the ambient derivative has no radial
-    part and equals the surface gradient of each component.
-    """
-    coeffs = _component_coeffs(grid, vectors)
-    out = np.zeros((grid.nnodes, 3, 3))
-    for c in range(3):
-        dth = coeffs[c] @ grid.dYdtheta
-        dph = (grid.dphi_coeffs(coeffs[c]) @ grid.Y) / grid.sin_theta
-        out[:, c, :] = dth[:, None] * grid.e_theta + dph[:, None] * grid.e_phi
-    return out
-
-
 def deformed_sphere_geometry(params: DeformationParams, t: float):
     """Induced metric and mean curvature of the deformed sphere at time t.
 
@@ -123,15 +102,14 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     x = grid.nodes
     f, X, v = params.f, params.X, params.vperp
 
-    y = (1.0 + t * f.values)[:, None] * x + t * X.ambient_components()
-    ycoef = _component_coeffs(grid, y)
+    X_amb = X.ambient_components()
+    y = (1.0 + t * f.values)[:, None] * x + t * X_amb
+    ycoef = grid.analyze(y.T)
 
-    d_th = np.stack([ycoef[c] @ grid.dYdtheta for c in range(3)], axis=1)
-    d_ph = np.stack([ycoef[c] @ grid.dYdphi for c in range(3)], axis=1)
-    d_thth = np.stack([ycoef[c] @ grid.d2Ydtheta2 for c in range(3)], axis=1)
-    d_thph = np.stack([ycoef[c] @ grid.d2Ydthetadphi for c in range(3)], axis=1)
-    d_phph = np.stack([grid.dphi_coeffs(grid.dphi_coeffs(ycoef[c])) @ grid.Y
-                       for c in range(3)], axis=1)
+    d_th, d_ph, d_thth, d_thph = (
+        grid.synth(table, ycoef).T
+        for table in ("dYdtheta", "dYdphi", "d2Ydtheta2", "d2Ydthetadphi"))
+    d_phph = grid.synthesize(grid.dphi_coeffs(grid.dphi_coeffs(ycoef))).T
 
     gtt = np.sum(d_th * d_th, axis=1)
     gtp = np.sum(d_th * d_ph, axis=1)
@@ -157,12 +135,15 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
 
     # Jacobian of the ambient flow x -> x + t u(x) at the sphere, where the
     # displacement u = f(x/|x|) x/|x| + X(x/|x|) is extended homogeneous of
-    # degree zero, so its radial derivative vanishes.
+    # degree zero, so its radial derivative vanishes and the derivative of
+    # each Cartesian component of X is its surface gradient.
     f1, f2 = f.gradient_components()
     gradf = f1[:, None] * grid.e_theta + f2[:, None] * grid.e_phi
+    dX1, dX2 = grid.grad_synth(grid.analyze(X_amb.T))
     du = (f.values[:, None, None] * (np.eye(3) - x[:, :, None] * x[:, None, :])
           + x[:, :, None] * gradf[:, None, :]
-          + _tangential_matrix(grid, X.ambient_components()))
+          + dX1.T[:, :, None] * grid.e_theta[:, None, :]
+          + dX2.T[:, :, None] * grid.e_phi[:, None, :])
     flow_jac = np.eye(3) + t * du
     pulled_nu = np.linalg.solve(flow_jac, nu[:, :, None])[:, :, 0]
     h_total = (rho ** (-0.5) * h_flat
@@ -182,20 +163,6 @@ def first_variation(params: DeformationParams):
     trdot = 4.0 * f + 2.0 * X.divergence() + 2.0 * v.trace()
     hdot = operators.laplace(f) + 2.0 * f + v.trace() - v.radial_trace()
     return trdot, hdot
-
-
-def _scalar_hessian(field: ScalarField) -> np.ndarray:
-    """Frame Hessian of a scalar, shape (nnodes, 2, 2)."""
-    g = field.grid
-    E1, E2 = g.tfhess_tables
-    lap = (-g.lam * field.coeffs) @ g.Y
-    h1 = field.coeffs @ E1
-    h2 = field.coeffs @ E2
-    out = np.empty((g.nnodes, 2, 2))
-    out[:, 0, 0] = h1 + 0.5 * lap
-    out[:, 1, 1] = -h1 + 0.5 * lap
-    out[:, 0, 1] = out[:, 1, 0] = h2
-    return out
 
 
 def second_variation(params: DeformationParams):
@@ -226,7 +193,7 @@ def second_variation(params: DeformationParams):
     x2_field = ScalarField.from_values(grid, x_sq)
     lap_x2 = operators.laplace(x2_field).values
     lap_f = operators.laplace(f).values
-    hess_f = _scalar_hessian(f)
+    hess_f = TangentField(grid, f.coeffs, np.zeros(grid.nmodes)).covariant_matrix()
     xv = X.comp1 * v1 + X.comp2 * v2
 
     w1 = dxmat[:, 0, 0] * f1 + dxmat[:, 1, 0] * f2

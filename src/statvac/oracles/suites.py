@@ -220,7 +220,7 @@ def _suite_multipliers(rng, lmax, fast):
         lap_h = _ambient_laplacian(l, band, pts, h)
         lap_h2 = _ambient_laplacian(l, band, pts, 0.5 * h)
         lap = (16.0 * lap_h2 - lap_h) / 15.0
-        expect = -float(l * (l + 1)) * (coeffs @ grid.Y[:, idx])
+        expect = -float(l * (l + 1)) * grid.synthesize(coeffs)[idx]
         worst = max(worst, float(np.max(np.abs(lap - expect)) / (l * (l + 1))))
     checks["laplace_ambient_fd"] = _check(worst, 1e-6)
 

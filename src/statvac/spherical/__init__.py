@@ -3,8 +3,6 @@
 from .grid import SphereGrid, build_grid
 from .fields import ScalarField, TangentField, SymTensorField
 from .operators import (
-    transform,
-    integrate,
     laplace,
     helmholtz2_solve,
     divdiv,
@@ -18,8 +16,6 @@ __all__ = [
     "ScalarField",
     "TangentField",
     "SymTensorField",
-    "transform",
-    "integrate",
     "laplace",
     "helmholtz2_solve",
     "divdiv",

@@ -110,14 +110,6 @@ class ScalarField:
         """Frame components (d/dtheta, (1/sin)d/dphi) at the nodes."""
         return self.grid.grad_synth(self.coeffs)
 
-    def mean_l2(self) -> float:
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
-
-    def l_slice_norm(self, l: int) -> float:
-        """L2 norm of the degree-l part."""
-        sel = self.grid.ls == l
-        return float(np.sqrt(np.sum(self.coeffs[sel] ** 2)))
-
 
 class TangentField:
     """Tangent vector field X = grad(a) + J grad(b).
@@ -203,10 +195,6 @@ class TangentField:
         out[:, 1, 1] += b2
         return out
 
-    def l1_norm_of_potentials(self) -> float:
-        sel = self.grid.ls == 1
-        return float(np.sqrt(np.sum(self.a_coeffs[sel] ** 2) + np.sum(self.b_coeffs[sel] ** 2)))
-
 
 class SymTensorField:
     """Symmetric 2-tensor split into trace and trace-free potentials.
@@ -280,11 +268,6 @@ class SymTensorField:
         p = 2.0 * (e1w1 + e2w2) / norm
         q = 2.0 * (-e2w1 + e1w2) / norm
         return cls(grid, trace, p, q, t1=t1, t2=t2)
-
-    @classmethod
-    def from_parts(cls, grid: SphereGrid, trace: ScalarField,
-                   p_coeffs: np.ndarray, q_coeffs: np.ndarray) -> "SymTensorField":
-        return cls(grid, trace, p_coeffs, q_coeffs)
 
     def tracefree(self) -> "SymTensorField":
         """The trace-free part as a field of its own."""

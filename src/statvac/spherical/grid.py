@@ -140,8 +140,12 @@ class SphereGrid:
         return {False: np.stack([cos, sin], axis=1),
                 True: np.stack([-m * sin, m * cos], axis=1)}
 
-    def _synth(self, table: str, coeffs: np.ndarray) -> np.ndarray:
-        """coeffs @ table over leading batch axes, without building the table."""
+    def synth(self, table: str, coeffs: np.ndarray) -> np.ndarray:
+        """coeffs @ table over leading batch axes, without building the table.
+
+        ``table`` names one of the dense tables ("Y", "dYdtheta",
+        "d2Ydtheta2", "dYdphi", "d2Ydthetadphi", "G2", "E1", "E2").
+        """
         factor, dphi = _TABLES[table]
         if dphi:
             coeffs = self.dphi_coeffs(coeffs)
@@ -245,11 +249,11 @@ class SphereGrid:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape[-1:] != (self.nmodes,):
             raise ValueError("coefficient vector has the wrong length")
-        return self._synth("Y", coeffs)
+        return self.synth("Y", coeffs)
 
     def grad_synth(self, coeffs: np.ndarray):
         """(coeffs @ G1, coeffs @ G2): frame gradient components at the nodes."""
-        return self._synth("dYdtheta", coeffs), self._synth("G2", coeffs)
+        return self.synth("dYdtheta", coeffs), self.synth("G2", coeffs)
 
     def grad_project(self, values: np.ndarray):
         """(G1 @ values, G2 @ values); quadrature weights are the caller's."""
@@ -257,7 +261,7 @@ class SphereGrid:
 
     def tfhess_synth(self, coeffs: np.ndarray):
         """(coeffs @ E1, coeffs @ E2): trace-free Hessian components at the nodes."""
-        return self._synth("E1", coeffs), self._synth("E2", coeffs)
+        return self.synth("E1", coeffs), self.synth("E2", coeffs)
 
     def tfhess_project(self, values: np.ndarray):
         """(E1 @ values, E2 @ values); quadrature weights are the caller's."""

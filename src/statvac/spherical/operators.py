@@ -14,11 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, SymTensorField, TangentField
-from .grid import SphereGrid
 
 __all__ = [
-    "transform",
-    "integrate",
     "laplace",
     "helmholtz2_solve",
     "divdiv",
@@ -39,25 +36,6 @@ def helmholtz2_multiplier(ls: np.ndarray) -> np.ndarray:
     """Diagonal factor of (Laplace + 2) on degree-l scalars."""
     lam = (ls * (ls + 1)).astype(float)
     return 2.0 - lam
-
-
-def transform(field: ScalarField, direction: str) -> ScalarField:
-    """Re-run one side of the transform pair and refresh the diagnostic.
-
-    direction = "analyze" projects the stored values; "synthesize"
-    evaluates the stored coefficients.  Either way the returned field
-    carries a consistent pair plus the truncation diagnostic.
-    """
-    if direction == "analyze":
-        return ScalarField.from_values(field.grid, field.values)
-    if direction == "synthesize":
-        return ScalarField.from_coeffs(field.grid, field.coeffs)
-    raise ValueError("direction must be 'analyze' or 'synthesize'")
-
-
-def integrate(field: ScalarField) -> float:
-    """Quadrature integral over the sphere (node values, exact weights)."""
-    return field.grid.integrate(field.values)
 
 
 def laplace(field: ScalarField) -> ScalarField:

@@ -18,7 +18,6 @@ from statvac.boundary import (
     BartnikPerturbation,
     BoundarySolution,
     HarmonicExterior,
-    dirichlet_energy,
     solve_boundary_system,
 )
 from statvac.curvature import (
@@ -312,7 +311,7 @@ def test_criterion_10_boundary_system_residuals(grid16):
         decay = 1.0 / (1.0 + grid16.ls.astype(float)) ** 2
         v = HarmonicExterior(grid16,
                              0.3 * decay * rng.standard_normal(grid16.nmodes))
-        lhs = dirichlet_energy(v)
+        lhs = v.dirichlet_energy()
         rhs = -grid16.integrate(v.trace().values * v.radial_trace().values)
         worst_dirichlet = max(worst_dirichlet, abs(lhs - rhs) / lhs)
     report_criterion(10, "boundary solve and energy identity",

@@ -136,7 +136,8 @@ def test_cli_field_paths_build_no_dense_table(tmp_path, capsys, monkeypatch):
     data = write_json(tmp_path / "band4.json", band4_case(4))
     jet = write_json(tmp_path / "jet.json", {"ric": np.diag([1.0, 0.5, 0.0]).tolist()})
     for argv in (("--mode", "fields", "--input", data),
-                 ("--mode", "small-sphere", "--input", jet, "--tau", "0.01", "0.02")):
+                 ("--mode", "small-sphere", "--input", jet, "--tau", "0.01", "0.02"),
+                 ("--mode", "verify")):
         code, _, _ = run_cli(capsys, *argv, "--lmax", "8")
         assert code == 0
 
@@ -278,6 +279,18 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--mode", "small-sphere", "--lmax", "8",
                            "--input", asym)
     assert code == 2
+
+    falsy_gamma = write_json(tmp_path / "e.json", {"gamma1": 0})
+    code, _, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                           "--input", falsy_gamma)
+    assert code == 2 and "gamma1" in err
+
+    string_ric = write_json(tmp_path / "f.json",
+                            {"ric": [["1", "0", "0"], ["0", "0", "0"],
+                                     ["0", "0", "0"]]})
+    code, _, err = run_cli(capsys, "--mode", "small-sphere", "--lmax", "8",
+                           "--input", string_ric)
+    assert code == 2 and "ric" in err
 
 
 def test_residual_gate_exits_3(monkeypatch, capsys):

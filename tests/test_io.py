@@ -69,6 +69,7 @@ def test_data_from_dict_empty_object_is_zero_data(grid8):
     assert data.epsilon_estimate == 0.0
     assert np.all(data.gamma1.trace.values == 0.0)
     assert np.all(data.H1.values == 0.0)
+    assert svio.data_from_dict({"gamma1": None}, grid8).epsilon_estimate == 0.0
 
 
 def test_data_from_dict_places_every_block(grid8):
@@ -93,6 +94,11 @@ def test_data_from_dict_places_every_block(grid8):
     [],
     {"gamma": {}},
     {"gamma1": 3},
+    {"gamma1": 0},                                  # falsy, but not null
+    {"gamma1": []},
+    {"gamma1": False},
+    {"gamma1": ""},
+    {"gamma1": {"trace": 0}},
     {"gamma1": {"trace": None, "pp": []}},
     {"gamma1": {"p": [{"l": 1, "m": 0, "value": 1.0}]}},
     {"gamma1": {"q": [{"l": 0, "m": 0, "value": 1.0}]}},
@@ -130,6 +136,13 @@ def test_jet_from_dict_roundtrip(rng):
     {"ricci": np.eye(3).tolist()},
     {"ric": [[1.0, 0.0], [0.0, 1.0]]},
     {"ric": [["a", "b", "c"]] * 3},
+    {"ric": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]},  # numeric strings
+    {"ric": [[True, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    {"dric": [[[False] * 3] * 3] * 3},
+    {"d2ric": [[[[0.0, 0.0, "0"]] * 3] * 3] * 3},
+    {"ric": [[10 ** 400, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},  # beyond float range
+    {"ric": [[0.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]]},  # ragged
+    {"ric": {"0": [0.0, 0.0, 0.0]}},
     {"ric": [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
     {"ric": [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
 ])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from statvac.boundary import (
     BartnikPerturbation,
@@ -177,3 +179,35 @@ def test_small_sphere_quintic_matches_reference(grid8, rng):
     assert report.tau == 0.01
     m1_even = ref.static_c3 * 1e-4 + jet.lap_scalar / 120.0 * 1e-8
     assert abs(report.m1 - m1_even) < 1e-12
+
+
+def rotated_jet(jet, R):
+    """The jet of the same metric in coordinates rotated by R, on every index."""
+    return CurvatureJet(np.einsum("ia,jb,ab->ij", R, R, jet.ric),
+                        np.einsum("ic,ja,kb,cab->ijk", R, R, R, jet.dric),
+                        np.einsum("id,jc,ka,lb,dcab->ijkl", R, R, R, R, jet.d2ric))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), tau=st.floats(0.01, 0.3))
+def test_small_sphere_masses_are_rotation_invariant(grid8, seed, tau):
+    rng = np.random.default_rng(seed)
+    jet = random_jet(rng)
+    R = Rotation.random(random_state=rng).as_matrix()
+    base = small_sphere_report(jet, tau, grid8)
+    turned = small_sphere_report(rotated_jet(jet, R), tau, grid8)
+    eps = base.diagnostics["epsilon_estimate"]
+    assert abs(turned.m1 - base.m1) <= 1e-12 * eps
+    assert abs(turned.m2 - base.m2) <= 1e-12 * eps ** 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       s=st.floats(-10.0, 10.0).filter(lambda s: abs(s) >= 1e-3))
+def test_mass_orders_are_homogeneous_in_the_data(grid8, seed, s):
+    data = random_perturbation(grid8, np.random.default_rng(seed))
+    base = estimate(data)
+    scaled = estimate(data.scaled(s))
+    eps = data.epsilon_estimate
+    assert abs(scaled.m1 - s * base.m1) <= 1e-12 * abs(s) * eps
+    assert abs(scaled.m2 - s * s * base.m2) <= 1e-12 * (s * eps) ** 2
