@@ -14,6 +14,7 @@ import csv
 import io as _io
 import json
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -99,6 +100,11 @@ def coeff_vector(block, lmax: int, where: str, min_l: int = 0) -> np.ndarray:
     if not isinstance(entries, list):
         raise SchemaError(f"{where}: expected a coefficient list")
 
+    out = _bulk_vector(entries, lmax, entry_lmax, min_l)
+    if out is not None:
+        return out
+    # a rejected block is checked again entry by entry: this loop defines
+    # the entry schema and names the first bad entry
     out = np.zeros(harmonics.num_modes(lmax))
     seen = set()
     for pos, entry in enumerate(entries):
@@ -128,6 +134,43 @@ def coeff_vector(block, lmax: int, where: str, min_l: int = 0) -> np.ndarray:
             raise SchemaError(f"{spot}: duplicate mode (l={l}, m={m})")
         seen.add((l, m))
         out[harmonics.index_of(l, m)] = _entry_number(entry.get("value"), spot)
+    return out
+
+
+def _bulk_vector(entries: list, lmax: int, entry_lmax: int, min_l: int):
+    """Dense vector of a valid entry list of plain JSON types, or None.
+
+    Checks the whole list at once and returns None for any list it does
+    not accept, so that the per-entry loop of ``coeff_vector`` then names
+    the first bad entry.  Only exact dict, int and float types pass:
+    bools, numpy scalars and integers beyond the int64 or float range
+    take the per-entry loop.
+    """
+    if (set(map(type, entries)) != {dict}
+            or set(map(len, entries)) != {3}):
+        return None
+    try:
+        ls, ms, values = (list(map(itemgetter(key), entries))
+                          for key in ("l", "m", "value"))
+    except KeyError:
+        return None
+    if (set(map(type, ls)) != {int} or set(map(type, ms)) != {int}
+            or not set(map(type, values)) <= {int, float}):
+        return None
+    try:
+        ls = np.array(ls, dtype=np.int64)
+        ms = np.array(ms, dtype=np.int64)
+        values = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    if (ls.min() < min_l or ls.max() > entry_lmax or np.any(ms < -ls)
+            or np.any(ms > ls) or not np.all(np.isfinite(values))):
+        return None
+    k = ls * ls + ls + ms
+    if np.bincount(k).max() > 1:
+        return None
+    out = np.zeros(harmonics.num_modes(lmax))
+    out[k] = values
     return out
 
 

@@ -68,8 +68,12 @@ def _inverse3(g: np.ndarray) -> np.ndarray:
     Column i of the inverse is row i+1 cross row i+2 over the determinant.
     Raises LinAlgError on a singular or non-finite matrix.
     """
-    adj = np.stack([np.cross(g[1], g[2], axis=0), np.cross(g[2], g[0], axis=0),
-                    np.cross(g[0], g[1], axis=0)], axis=1)
+    adj = np.empty(g.shape)
+    for i in range(3):  # the products and order of np.cross(a, b, axis=0)
+        a, b = g[(i + 1) % 3], g[(i + 2) % 3]
+        adj[0, i] = a[1] * b[2] - a[2] * b[1]
+        adj[1, i] = a[2] * b[0] - a[0] * b[2]
+        adj[2, i] = a[0] * b[1] - a[1] * b[0]
     det = np.einsum("an,an->n", g[0], adj[:, 0])
     if not np.all(np.isfinite(g)) or np.any(det == 0.0):
         raise np.linalg.LinAlgError("singular or non-finite metric")

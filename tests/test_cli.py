@@ -336,6 +336,20 @@ def test_integers_beyond_the_float_range_exit_2(tmp_path, capsys):
         assert err.startswith("schema error:") and "finite" in err, name
 
 
+def test_bad_entry_deep_in_a_full_band_case_exits_2(tmp_path, capsys):
+    ls, ms = harmonics.mode_table(48)
+    coeffs = [{"l": int(l), "m": int(m), "value": 1e-3 / (1.0 + l) ** 2}
+              for l, m in zip(ls, ms)]
+    coeffs[2000]["value"] = True
+    path = write_json(tmp_path / "deep.json",
+                      {"cases": [{"H1": {"lmax": 48, "coeffs": coeffs}}]})
+    code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "48",
+                             "--input", path)
+    assert code == 2 and out == ""
+    assert err == ("schema error: input.cases[0].H1.coeffs[2000]: "
+                   "value must be a number\n")
+
+
 def test_tampered_multiplier_fails_verification(monkeypatch, capsys):
     original = operators.divdiv_multiplier
     monkeypatch.setattr(operators, "divdiv_multiplier",

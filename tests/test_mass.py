@@ -22,6 +22,7 @@ from statvac.mass import (
     small_sphere_report,
 )
 from statvac.spherical.fields import ScalarField, SymTensorField, TangentField
+from statvac.spherical.grid import build_grid
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
@@ -199,6 +200,45 @@ def test_small_sphere_masses_are_rotation_invariant(grid8, seed, tau):
     eps = base.diagnostics["epsilon_estimate"]
     assert abs(turned.m1 - base.m1) <= 1e-12 * eps
     assert abs(turned.m2 - base.m2) <= 1e-12 * eps ** 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), tau=st.floats(0.01, 0.3))
+def test_small_sphere_masses_are_resolved_at_band_four(grid16, seed, tau):
+    """Small-sphere data through order four is band-limited at degree four,
+    so an lmax-4 grid gives the masses of an lmax-16 grid."""
+    jet = random_jet(np.random.default_rng(seed))
+    fine = small_sphere_report(jet, tau, grid16)
+    coarse = small_sphere_report(jet, tau, build_grid(4))
+    eps = fine.diagnostics["epsilon_estimate"]
+    assert abs(coarse.m1 - fine.m1) <= 1e-12 * eps
+    assert abs(coarse.m2 - fine.m2) <= 1e-12 * eps ** 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_m2_is_invariant_under_degree_one_regauging(grid8, seed):
+    """m2 does not see a degree-one shift of the lapse f, nor a conformal
+    Killing (degree-one) shift of X with f re-solved from equation (b)."""
+    rng = np.random.default_rng(seed)
+    data = random_perturbation(grid8, rng)
+    sol = solve_boundary_system(data)
+    base = compute_m2(data, sol)
+    kernel = grid8.ls == 1
+    shift = np.zeros(grid8.nmodes)
+    shift[kernel] = rng.normal(size=3)
+    eta = ScalarField.from_coeffs(grid8, shift)
+    lapse = BoundarySolution(v=sol.v, f=sol.f + eta, X=sol.X)
+    a = np.array(sol.X.a_coeffs)
+    b = np.array(sol.X.b_coeffs)
+    a[kernel] = rng.normal(size=3)
+    b[kernel] = rng.normal(size=3)
+    X2 = TangentField(grid8, a, b)
+    f2 = 0.25 * data.gamma1.trace - 0.5 * X2.divergence() - 0.5 * sol.v.trace()
+    killing = BoundarySolution(v=sol.v, f=f2, X=X2)
+    eps = data.epsilon_estimate
+    assert abs(compute_m2(data, lapse) - base) <= 1e-12 * eps ** 2
+    assert abs(compute_m2(data, killing) - base) <= 1e-12 * eps ** 2
 
 
 @settings(max_examples=15, deadline=None)

@@ -15,6 +15,7 @@ from statvac.oracles import (
     linearized_ricci,
     random_polynomial_metric,
 )
+from statvac.oracles.metricfield import _inverse3
 
 
 def space_form_dense(k, rho):
@@ -113,6 +114,28 @@ def test_geodesic_acceleration_matches_the_christoffel_contraction(rng):
         acc = metric.geodesic_acceleration(pts, vel)
         assert acc.shape == (9, 3)
         assert relative_gap(acc, ref) <= 1e-13, metric.label
+
+
+def cross_inverse3(g):
+    """The adjugate-over-determinant inverse written with np.cross."""
+    adj = np.stack([np.cross(g[1], g[2], axis=0), np.cross(g[2], g[0], axis=0),
+                    np.cross(g[0], g[1], axis=0)], axis=1)
+    return adj / np.einsum("an,an->n", g[0], adj[:, 0])
+
+
+def test_inverse3_is_bitwise_the_cross_product_form(rng):
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    metrics = (MetricField.polynomial(*symmetric_polynomial_coefficients(rng)),
+               random_polynomial_metric(rng),
+               MetricField.space_form(0.7),
+               MetricField.space_form(-0.9))
+    # component-major batches, as christoffel and geodesic_acceleration pass
+    batches = [rng.standard_normal((3, 3, 257))]
+    batches += [metric(pts).transpose(1, 2, 0) for metric in metrics]
+    for g in batches:
+        inv = _inverse3(g)
+        assert inv.tobytes() == cross_inverse3(g).tobytes()
+        assert np.allclose(np.einsum("abn,bcn->nac", g, inv), np.eye(3))
 
 
 @pytest.mark.parametrize("g", [
