@@ -22,7 +22,7 @@ Christoffel symbols.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from ..boundary import BartnikPerturbation
 from ..curvature import CurvatureJet, jet_from_arrays
@@ -147,12 +147,27 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         acc = metric.geodesic_acceleration(pos, vel)
         return np.concatenate([vel.ravel(), acc.ravel()])
 
-    sol = solve_ivp(rhs, (0.0, tau), state0, method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalFailure("geodesic integration failed: " + sol.message)
-    pos = sol.y[: 3 * nprobe, -1].reshape(nprobe, 3)
-    vel = sol.y[3 * nprobe:, -1].reshape(nprobe, 3)
+    # solve_ivp's stepping loop, keeping only the final state
+    solver = None
+    try:
+        solver = DOP853(rhs, 0.0, state0, tau, rtol=rtol, atol=atol)
+        num_steps = 1  # accepted steps plus the initial point
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise NumericalFailure("geodesic integration failed: " + message)
+            num_steps += 1
+        state, nfev = solver.y, solver.nfev
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"geodesic integration failed: {exc}") from exc
+    finally:
+        # the solver's counting wrapper of rhs closes over the solver; this
+        # reference cycle would keep its step arrays (about 5 MB at lmax 16)
+        # alive until a full collection, so empty the solver to free them now
+        if solver is not None:
+            vars(solver).clear()
+    pos = state[: 3 * nprobe].reshape(nprobe, 3)
+    vel = state[3 * nprobe:].reshape(nprobe, 3)
 
     n = grid.nnodes
     y0 = pos[:n]
@@ -224,8 +239,8 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         diagnostics["richardson_gap"] = float(max(
             np.max(np.abs(dth[0] - dth[1])), np.max(np.abs(dph[0] - dph[1]))))
         diagnostics["min_det"] = float(np.min(det))
-        diagnostics["num_steps"] = int(sol.t.size)
-        diagnostics["nfev"] = int(sol.nfev)
+        diagnostics["num_steps"] = num_steps
+        diagnostics["nfev"] = nfev
 
     gamma1 = SymTensorField.from_components(grid, c11, c12, c22)
     h_field = ScalarField.from_values(grid, h_offset)

@@ -16,8 +16,6 @@ so any subset reproduces the full run's numbers.
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 
 from ..boundary import BartnikPerturbation, BoundarySolution, solve_boundary_system
@@ -520,12 +518,6 @@ def _suite_taylor(rng, lmax, fast):
         "max_richardson_gap": max(d["richardson_gap"] for d in runs),
         "min_det": min(d["min_det"] for d in runs),
     }
-    # solve_ivp leaves each solver in a reference cycle that holds its step
-    # arrays (about 5.1 MB per sphere here, mostly DOP853's 16 stage
-    # vectors of the 33150-long state).  Only a full collection frees
-    # them, and a process that runs verify repeatedly seldom reaches one, so
-    # without this its memory grows by every call's spheres.
-    gc.collect()
     return checks, diagnostics
 
 

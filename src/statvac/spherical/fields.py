@@ -15,6 +15,8 @@ frame (e_theta, e_phi).  The pointwise rotation J maps (u1, u2) to
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .grid import SphereGrid
@@ -270,10 +272,14 @@ class SymTensorField:
         return cls(grid, trace, p, q, t1=t1, t2=t2)
 
     def tracefree(self) -> "SymTensorField":
-        """The trace-free part as a field of its own."""
-        return SymTensorField(self.grid, ScalarField.zeros(self.grid),
-                              self.p_coeffs, self.q_coeffs,
-                              t1=self.t1, t2=self.t2)
+        """The trace-free part as a field of its own.
+
+        It shares the read-only potentials, node components and
+        ``tracefree_truncation`` of this field; only the trace is zero.
+        """
+        out = copy.copy(self)
+        out.trace = ScalarField.zeros(self.grid)
+        return out
 
     def components(self):
         """Full frame components (c11, c12, c22) at the nodes."""

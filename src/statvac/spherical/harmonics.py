@@ -6,7 +6,8 @@ for m < 0 it is sqrt(2)*N_l^|m|(theta)*sin(|m|*phi), and for m = 0 it is
 N_l^0(theta), where N_l^m is the associated Legendre function carrying the
 full orthonormalization factor sqrt((2l+1)/(4pi) * (l-m)!/(l+m)!) and no
 Condon-Shortley phase.  All tables are computed with stable three-term
-recurrences, so no factorials appear explicitly.
+recurrences, so no factorials appear explicitly; they step over l and are
+vector over m and the points, with each entry's arithmetic unchanged.
 """
 
 from __future__ import annotations
@@ -65,23 +66,22 @@ def _normalized_legendre(lmax: int, theta: np.ndarray):
         N[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * N[m - 1, m - 1]
     for m in range(0, lmax):
         N[m + 1, m] = np.sqrt(2.0 * m + 3.0) * ct * N[m, m]
-    for m in range(0, lmax + 1):
-        for l in range(m + 2, lmax + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            N[l, m] = a * (ct * N[l - 1, m] - b * N[l - 2, m])
+    # three-term recurrence in l, vector over every order m <= l - 2
+    for l in range(2, lmax + 1):
+        m = np.arange(l - 1)[:, None]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        N[l, : l - 1] = a * (ct * N[l - 1, : l - 1] - b * N[l - 2, : l - 1])
 
     # dN_l^m/dtheta = (l*cos(theta)*N_l^m - c_lm*N_{l-1}^m) / sin(theta),
-    # c_lm = sqrt((2l+1)/(2l-1) * (l^2 - m^2)); c vanishes at l = m.
+    # c_lm = sqrt((2l+1)/(2l-1) * (l^2 - m^2)); at m = l both c_lm and the
+    # unused entry N_{l-1}^l vanish.
     dN = np.zeros_like(N)
     safe_st = np.where(np.abs(st) < 1e-300, 1.0, st)
-    for m in range(0, lmax + 1):
-        for l in range(m, lmax + 1):
-            if l == 0:
-                continue
-            c = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - m * m))
-            prev = N[l - 1, m] if l - 1 >= m else 0.0
-            dN[l, m] = (l * ct * N[l, m] - c * prev) / safe_st
+    for l in range(1, lmax + 1):
+        m = np.arange(l + 1)[:, None]
+        c = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - m * m))
+        dN[l, : l + 1] = (l * ct * N[l, : l + 1] - c * N[l - 1, : l + 1]) / safe_st
     return N, dN
 
 
@@ -108,8 +108,9 @@ def harmonic_tables(lmax: int, theta: np.ndarray, phi: np.ndarray):
     ls, ms = mode_table(lmax)
     am = np.abs(ms)
     scale = np.where(ms == 0, 1.0, np.sqrt(2.0))[:, None]
-    mphi = am[:, None] * phi
-    trig = np.where(ms[:, None] < 0, np.sin(mphi), np.cos(mphi))
+    # cos(m phi) and sin(m phi) once per order, stacked; m < 0 reads the sines
+    mphi = np.arange(lmax + 1)[:, None] * phi
+    trig = np.concatenate([np.cos(mphi), np.sin(mphi)])[np.where(ms < 0, lmax + 1 + am, am)]
     return scale * N[ls, am] * trig, scale * dN[ls, am] * trig
 
 

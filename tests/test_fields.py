@@ -152,6 +152,24 @@ def test_tracefree_norm_and_invariance_under_rotation_part(grid8, rng):
                                2.0 * (T.t1 ** 2 + T.t2 ** 2), atol=0.0)
 
 
+def test_tracefree_shares_the_field_without_resynthesis(grid8, rng, monkeypatch):
+    c11, c12, c22 = rng.normal(size=(3, grid8.nnodes))
+    T = SymTensorField.from_components(grid8, c11, c12, c22)
+    assert T.tracefree_truncation > 0.0
+    rebuilt = SymTensorField(grid8, ScalarField.zeros(grid8), T.p_coeffs,
+                             T.q_coeffs, t1=T.t1, t2=T.t2)
+    calls = []
+    monkeypatch.setattr(type(grid8), "tfhess_synth",
+                        lambda *args: calls.append(1))
+    F = T.tracefree()
+    assert calls == []
+    assert np.all(F.trace.values == 0.0) and np.all(F.trace.coeffs == 0.0)
+    for name in ("p_coeffs", "q_coeffs", "t1", "t2"):
+        assert getattr(F, name) is getattr(T, name)
+    assert F.tracefree_truncation == rebuilt.tracefree_truncation
+    np.testing.assert_array_equal(T.trace.values, c11 + c22)
+
+
 def test_round_metric_components(grid8):
     g = SymTensorField.round_metric(grid8)
     c11, c12, c22 = g.components()

@@ -1,7 +1,10 @@
 """Geodesic-sphere sampling and curvature-jet extraction from ambient metrics."""
 
+import gc
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from statvac.curvature import CurvatureJet, small_sphere_data
 from statvac.oracles import (
@@ -114,6 +117,53 @@ def test_indefinite_metric_is_a_numerical_failure():
     with pytest.raises(NumericalFailure):
         geodesic_sphere(MetricField(fun, label="indefinite"), (0.0, 0.0, 0.0),
                         0.1, grid)
+
+
+def test_geodesic_sphere_frees_its_solver_without_a_collection():
+    gc.collect()
+    gc.disable()
+    try:
+        geodesic_sphere(MetricField.space_form(0.6), (0.0, 0.0, 0.0), 0.1,
+                        build_grid(4))
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
+def metric_beyond(radius, g_outside, dg_outside):
+    """Identity metric with zero gradient inside |x| <= radius, given values outside."""
+
+    def outside(pts):
+        return np.linalg.norm(pts, axis=1) > radius
+
+    def fun(pts):
+        g = np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
+        g[outside(pts)] = g_outside
+        return g
+
+    def grad(pts):
+        dg = np.zeros((pts.shape[0], 3, 3, 3))
+        dg[outside(pts)] = dg_outside
+        return dg
+
+    return MetricField(fun, grad, label="cut off")
+
+
+def test_non_finite_gradient_is_a_numerical_failure():
+    metric = metric_beyond(0.02, np.eye(3), np.nan)
+    with pytest.raises(NumericalFailure) as err:
+        geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, build_grid(4))
+    assert str(err.value) == ("geodesic integration failed: Required step size "
+                              "is less than spacing between numbers.")
+
+
+def test_metric_singular_along_a_probe_is_a_numerical_failure():
+    metric = metric_beyond(0.02, np.nan, 0.0)
+    with pytest.raises(NumericalFailure) as err:
+        geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, build_grid(4))
+    assert str(err.value) == ("geodesic integration failed: "
+                              "singular or non-finite metric")
 
 
 def test_jet_from_metric_on_a_space_form():

@@ -164,14 +164,57 @@ def test_separable_transforms_match_dense_on_drawn_grids(lmax, extra_lat, extra_
     check_separable_against_dense(grid, np.random.default_rng(seed))
 
 
-def test_harmonic_tables_match_the_per_mode_loop(rng):
-    """The vectorized layout and arithmetic equal a loop over (l, m) exactly."""
-    lmax = 6
-    theta = rng.uniform(0.1, 3.0, size=30)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=30)
+def reference_legendre(lmax, theta):
+    """The scalar recurrences, one (l, m) entry at a time."""
+    ct = np.cos(theta)
+    st_ = np.sin(theta)
+    N = np.zeros((lmax + 1, lmax + 1, theta.size))
+    N[0, 0] = np.sqrt(1.0 / (4.0 * np.pi))
+    for m in range(1, lmax + 1):
+        N[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st_ * N[m - 1, m - 1]
+    for m in range(0, lmax):
+        N[m + 1, m] = np.sqrt(2.0 * m + 3.0) * ct * N[m, m]
+    for m in range(0, lmax + 1):
+        for l in range(m + 2, lmax + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            N[l, m] = a * (ct * N[l - 1, m] - b * N[l - 2, m])
+    dN = np.zeros_like(N)
+    safe_st = np.where(np.abs(st_) < 1e-300, 1.0, st_)
+    for m in range(0, lmax + 1):
+        for l in range(max(m, 1), lmax + 1):
+            c = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 1.0) * (l * l - m * m))
+            prev = N[l - 1, m] if l - 1 >= m else 0.0
+            dN[l, m] = (l * ct * N[l, m] - c * prev) / safe_st
+    return N, dN
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+colatitudes = st.one_of(
+    st.floats(1e-12, np.pi - 1e-12),
+    st.floats(1e-12, 1e-6),
+    st.floats(1e-12, 1e-6).map(lambda eps: np.pi - eps),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lmax=st.integers(0, 40),
+       angles=st.lists(st.tuples(colatitudes, st.floats(-10.0, 10.0)),
+                       min_size=1, max_size=12))
+def test_harmonic_tables_match_the_per_mode_loop(lmax, angles):
+    """The tables equal the scalar recurrences and a loop over (l, m) bit for bit."""
+    theta, phi = np.array(angles).T
+    N, dN = harmonics._normalized_legendre(lmax, theta)
+    N_ref, dN_ref = reference_legendre(lmax, theta)
+    assert_bitwise_equal(N, N_ref)
+    assert_bitwise_equal(dN, dN_ref)
+
     ls, ms = harmonics.mode_table(lmax)
     Y, dY = harmonics.harmonic_tables(lmax, theta, phi)
-    N, dN = harmonics._normalized_legendre(lmax, theta)
     sqrt2 = np.sqrt(2.0)
     for l in range(lmax + 1):
         for m in range(-l, l + 1):
@@ -183,8 +226,8 @@ def test_harmonic_tables_match_the_per_mode_loop(rng):
                 trig = np.cos(m * phi) if m > 0 else np.sin(-m * phi)
                 want = sqrt2 * N[l, abs(m)] * trig
                 dwant = sqrt2 * dN[l, abs(m)] * trig
-            np.testing.assert_array_equal(Y[k], want)
-            np.testing.assert_array_equal(dY[k], dwant)
+            assert_bitwise_equal(Y[k], want)
+            assert_bitwise_equal(dY[k], dwant)
 
 
 def test_dphi_coeffs_transpose_is_its_negative(grid8):
