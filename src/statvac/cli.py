@@ -181,10 +181,10 @@ def run_small_sphere(config: RunConfig) -> str:
             report = mass.small_sphere_report(jet, tau, grid)
             _gate_residuals(report)
             reports.append(report)
-        quintic = mass.small_sphere_quintic(jet, taus[0], grid)
     except OverflowError as exc:
         raise io.SchemaError("tau too large: its powers in the small-sphere "
                              "expansion overflow") from exc
+    quintic = mass.small_sphere_quintic(jet)
     coefficients = {
         "assembled_c3": quintic["c3"],
         "assembled_c5": quintic["c5"],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boundary import BartnikPerturbation
 from .spherical.fields import ScalarField, SymTensorField
-from .spherical.grid import SphereGrid
+from .spherical.grid import SphereGrid, build_grid
 
 __all__ = [
     "Riemann3",
@@ -42,6 +42,9 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_i, _j, _k] = 1.0
     _EPS3[_i, _k, _j] = -1.0
 _EPS3.setflags(write=False)
+
+# the grid that holds the band-4 Taylor blocks of small-sphere data exactly
+_BAND4 = build_grid(4)
 
 
 class Riemann3:
@@ -292,20 +295,55 @@ def jet_from_arrays(ric: np.ndarray, dric: np.ndarray,
     return CurvatureJet(ric, dric, d2)
 
 
+def _taylor_blocks(jet: CurvatureJet) -> np.ndarray:
+    """(trace, p, q, H1) coefficients of the blocks A_2, A_3, A_4, shape (3, 4, 25).
+
+    Small-sphere data is exactly tau^2 A_2 + tau^3 A_3 + tau^4 A_4, and the
+    node values of A_k are degree-k polynomials of the direction, so the
+    45 nodes of the lmax-4 grid determine each block.
+    """
+    x = _BAND4.nodes
+    frame = np.stack([_BAND4.e_theta, _BAND4.e_phi], axis=1)
+    # Q_ik = R_{i r k r} with r the radial direction at each node
+    Q = np.einsum("ijkl,nj,nl->nik", _riemann_dense(jet.ric), x, x)
+    dRm = np.stack([_riemann_dense(d) for d in jet.dric])
+    d2Rm = np.stack([[_riemann_dense(d) for d in row] for row in jet.d2ric])
+    pairs = (
+        (Q / 3.0, np.einsum("ij,ni,nj->n", jet.ric, x, x) / 3.0),
+        (np.einsum("eijkl,ne,nj,nl->nik", dRm, x, x, x) / 6.0,
+         np.einsum("cab,nc,na,nb->n", jet.dric, x, x, x) / 4.0),
+        (np.einsum("efijkl,ne,nf,nj,nl->nik", d2Rm, x, x, x, x) / 20.0
+         + 2.0 * np.einsum("nic,nck->nik", Q, Q) / 45.0,
+         np.einsum("dcab,nd,nc,na,nb->n", jet.d2ric, x, x, x, x) / 10.0
+         + np.einsum("nik,nik->n", Q, Q) / 45.0),
+    )
+    blocks = np.empty((3, 4, _BAND4.nmodes))
+    for k, (T, H) in enumerate(pairs):
+        c = np.einsum("nai,nik,nbk->nab", frame, T, frame)
+        gamma = SymTensorField.from_components(_BAND4, c[:, 0, 0], c[:, 0, 1], c[:, 1, 1])
+        blocks[k] = (gamma.trace.coeffs, gamma.p_coeffs, gamma.q_coeffs, _BAND4.analyze(H))
+    return blocks
+
+
 def small_sphere_data(jet: CurvatureJet, tau: float, order: int,
                       grid: SphereGrid) -> BartnikPerturbation:
     """Taylor data of the geodesic sphere of radius tau, scaled to the unit sphere.
+
+    The data is the sum of tau^k A_k over k = 2..order of the band-4 Taylor
+    blocks of the jet, zero-padded to the grid's band limit and synthesized
+    from coefficients, so its truncation diagnostics are zero.
 
     Parameters
     ----------
     jet : CurvatureJet
         Curvature of the ambient space at the center, in an orthonormal frame.
     tau : float
-        Geodesic radius.
+        Geodesic radius.  Its powers are Python floats, so a tau whose
+        powers leave the float range raises ``OverflowError``.
     order : int
         Highest Taylor order kept (2, 3 or 4).
     grid : SphereGrid
-        Target grid; band limit 4 suffices to hold order-4 data exactly.
+        Target grid, of band limit at least 4 (``ValueError`` otherwise).
 
     Returns
     -------
@@ -315,55 +353,17 @@ def small_sphere_data(jet: CurvatureJet, tau: float, order: int,
     """
     if order not in (2, 3, 4):
         raise ValueError("order must be 2, 3 or 4")
+    if grid.lmax < 4:
+        raise ValueError("small-sphere data needs a grid of band limit at least 4")
     tau = float(tau)
-    x = grid.nodes
-    e1 = grid.e_theta
-    e2 = grid.e_phi
-
-    Rm = _riemann_dense(jet.ric)
-    # Q_ik = R_{i r k r} with r the radial direction at each node
-    Q = np.einsum("ijkl,nj,nl->nik", Rm, x, x)
-
-    def frame(Qmat):
-        c11 = np.einsum("ni,nik,nk->n", e1, Qmat, e1)
-        c12 = np.einsum("ni,nik,nk->n", e1, Qmat, e2)
-        c22 = np.einsum("ni,nik,nk->n", e2, Qmat, e2)
-        return c11, c12, c22
-
-    g11, g12, g22 = frame(Q)
-    c11 = (tau ** 2 / 3.0) * g11
-    c12 = (tau ** 2 / 3.0) * g12
-    c22 = (tau ** 2 / 3.0) * g22
-    H = (tau ** 2 / 3.0) * np.einsum("ij,ni,nj->n", jet.ric, x, x)
-
-    if order >= 3:
-        dRm = np.stack([_riemann_dense(jet.dric[e]) for e in range(3)])
-        dQ = np.einsum("eijkl,ne,nj,nl->nik", dRm, x, x, x)
-        d11, d12, d22 = frame(dQ)
-        c11 = c11 + (tau ** 3 / 6.0) * d11
-        c12 = c12 + (tau ** 3 / 6.0) * d12
-        c22 = c22 + (tau ** 3 / 6.0) * d22
-        H = H + (tau ** 3 / 4.0) * np.einsum("cab,nc,na,nb->n", jet.dric, x, x, x)
-
-    if order >= 4:
-        d2Rm = np.empty((3, 3, 3, 3, 3, 3))
-        for e in range(3):
-            for f in range(3):
-                d2Rm[e, f] = _riemann_dense(jet.d2ric[e, f])
-        d2Q = np.einsum("efijkl,ne,nf,nj,nl->nik", d2Rm, x, x, x, x)
-        QQ = np.einsum("nic,nck->nik", Q, Q)
-        dd11, dd12, dd22 = frame(d2Q)
-        m11, m12, m22 = frame(QQ)
-        c11 = c11 + tau ** 4 * (dd11 / 20.0 + 2.0 * m11 / 45.0)
-        c12 = c12 + tau ** 4 * (dd12 / 20.0 + 2.0 * m12 / 45.0)
-        c22 = c22 + tau ** 4 * (dd22 / 20.0 + 2.0 * m22 / 45.0)
-        Qsq = np.einsum("nik,nik->n", Q, Q)
-        H = H + tau ** 4 * (np.einsum("dcab,nd,nc,na,nb->n", jet.d2ric, x, x, x, x) / 10.0
-                            + Qsq / 45.0)
-
-    gamma1 = SymTensorField.from_components(grid, c11, c12, c22)
-    H1 = ScalarField.from_values(grid, H)
-    return BartnikPerturbation(gamma1=gamma1, H1=H1)
+    blocks = _taylor_blocks(jet)
+    coeffs = np.zeros((4, grid.nmodes))
+    # the flat (l, m) layout of band 4 is a prefix of every larger band
+    coeffs[:, :blocks.shape[-1]] = sum(tau ** k * blocks[k - 2]
+                                       for k in range(2, order + 1))
+    trace, p, q, h = coeffs
+    gamma1 = SymTensorField(grid, ScalarField.from_coeffs(grid, trace), p, q)
+    return BartnikPerturbation(gamma1=gamma1, H1=ScalarField.from_coeffs(grid, h))
 
 
 @dataclass(frozen=True)

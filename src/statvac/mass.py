@@ -31,7 +31,7 @@ from .boundary import (
 )
 from .curvature import CurvatureJet, reference_expansions, small_sphere_data
 from .spherical.fields import ScalarField, SymTensorField
-from .spherical.grid import SphereGrid
+from .spherical.grid import SphereGrid, build_grid
 
 __all__ = [
     "MassReport",
@@ -167,28 +167,26 @@ def estimate(data: BartnikPerturbation, tau: float | None = None,
                       reference=reference, diagnostics=diagnostics)
 
 
-def small_sphere_report(jet: CurvatureJet, tau: float, grid: SphereGrid,
-                        order: int = 4) -> MassReport:
+def small_sphere_report(jet: CurvatureJet, tau: float, grid: SphereGrid) -> MassReport:
     """Mass estimate of the geodesic sphere of radius tau from a curvature jet."""
-    data = small_sphere_data(jet, tau, order, grid)
+    data = small_sphere_data(jet, tau, 4, grid)
     return estimate(data, tau=tau, jet=jet)
 
 
-def small_sphere_quintic(jet: CurvatureJet, tau: float, grid: SphereGrid) -> dict:
-    """Exact-order assembly of the cubic and quintic mass coefficients.
+def small_sphere_quintic(jet: CurvatureJet) -> dict:
+    """Exact cubic and quintic mass coefficients of a curvature jet.
 
-    The cubic coefficient comes from m1 on second-order data.  The quintic
-    coefficient splits into the quartic part of m1 (difference of order-4
-    and order-2 data, the odd order integrating to zero) plus m2 on
-    second-order data, both divided by tau^4.  The assembly is exact in
-    tau, so it isolates the coefficients without fitting.
+    Small-sphere data is tau^2 A_2 + tau^3 A_3 + tau^4 A_4, so at tau = 1
+    on the band-4 grid c3 = m1(A_2) and c5 = m1(A_4) + m2(A_2), with
+    m1(A_4) read as m1(order-4 data) - c3 (odd A_3 integrates to zero).
+    There is no radius to divide by, and no grid but the band-4 one.
     """
-    data2 = small_sphere_data(jet, tau, 2, grid)
-    data4 = small_sphere_data(jet, tau, 4, grid)
+    grid = build_grid(4)
+    data2 = small_sphere_data(jet, 1.0, 2, grid)
+    data4 = small_sphere_data(jet, 1.0, 4, grid)
     sol2 = solve_boundary_system(data2)
-    m1_o2, _ = compute_m1(data2, sol2)
+    c3, _ = compute_m1(data2, sol2)
+    # this solve only feeds the discarded flux; perfbench pins two solves here
     m1_o4, _ = compute_m1(data4)
-    m2_o2 = compute_m2(data2, sol2)
-    c3 = m1_o2 / tau ** 2
-    c5 = (m1_o4 - m1_o2 + m2_o2) / tau ** 4
+    c5 = m1_o4 - c3 + compute_m2(data2, sol2)
     return {"c3": c3, "c5": c5}

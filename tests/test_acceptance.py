@@ -163,14 +163,14 @@ def test_criterion_03_first_order_mass_on_full_jets(grid8):
                      [("ten random jets", worst, 1e-9)])
 
 
-def test_criterion_04_quintic_matches_reference_table(grid8):
+def test_criterion_04_quintic_matches_reference_table():
     """The assembled quintic coefficient agrees with the closed-form
     static expansion for full order-4 data."""
     rng = np.random.default_rng(47)
     worst = 0.0
     for _ in range(10):
         jet = random_jet(rng, require_lap=True)
-        got = small_sphere_quintic(jet, 0.01, grid8)["c5"]
+        got = small_sphere_quintic(jet)["c5"]
         worst = max(worst, abs(got - reference_expansions(jet).static_c5))
     report_criterion(4, "assembled quintic vs closed form",
                      [("ten random jets", worst, 1e-10)])

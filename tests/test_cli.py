@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from statvac import cli, io as svio, mass
+from statvac.curvature import random_jet
 from statvac.spherical import harmonics, operators
 from statvac.spherical.grid import SphereGrid
 
@@ -188,6 +189,22 @@ def test_small_sphere_fit_coefficients(tmp_path, capsys):
     coeff = json.loads(out)["coefficients"]
     assert abs(coeff["fit_c3"] - coeff["assembled_c3"]) < 1e-8
     assert abs(coeff["fit_c5"] - coeff["assembled_c5"]) < 1e-3
+
+
+def test_small_sphere_coefficients_ignore_tau_and_lmax(tmp_path, capsys):
+    jet = random_jet(np.random.default_rng(0))
+    path = write_json(tmp_path / "jet.json", {
+        "ric": jet.ric.tolist(), "dric": jet.dric.tolist(),
+        "d2ric": jet.d2ric.tolist()})
+    blocks = set()
+    # tau^4 of 1e-200 underflows to zero, which nothing may divide by
+    for tau, lmax in (("0.001", "16"), ("0.3", "16"), ("0.3", "4"), ("1e-200", "16")):
+        code, out, _ = run_cli(capsys, "--mode", "small-sphere", "--input", path,
+                               "--tau", tau, "--lmax", lmax)
+        assert code == 0
+        # repr round-trips floats, so equal text means equal bits
+        blocks.add(json.dumps(json.loads(out)["coefficients"]))
+    assert len(blocks) == 1
 
 
 def test_runs_are_byte_identical(tmp_path):

@@ -13,6 +13,7 @@ from statvac.curvature import (
     riemann_from_ricci,
     small_sphere_data,
 )
+from statvac.spherical.grid import build_grid
 
 
 def dense_invariants(R):
@@ -109,6 +110,13 @@ def test_small_sphere_data_scaling(grid8, rng):
     np.testing.assert_allclose(d2.gamma1.t1, 4.0 * d1.gamma1.t1, atol=1e-15)
     with pytest.raises(ValueError):
         small_sphere_data(jet, 0.01, 5, grid8)
+
+
+def test_small_sphere_data_needs_band_four(rng):
+    """The Taylor blocks are band-4, so a smaller grid cannot hold them."""
+    jet = random_jet(rng)
+    with pytest.raises(ValueError, match="band limit at least 4"):
+        small_sphere_data(jet, 0.01, 2, build_grid(3))
 
 
 def test_small_sphere_data_closed_forms(grid8, rng):

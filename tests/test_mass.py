@@ -173,13 +173,30 @@ def test_estimate_diagnostics_shape(grid8, rng):
 def test_small_sphere_quintic_matches_reference(grid8, rng):
     jet = random_jet(rng)
     ref = reference_expansions(jet)
-    out = small_sphere_quintic(jet, 0.01, grid8)
+    out = small_sphere_quintic(jet)
     assert abs(out["c3"] - ref.static_c3) < 1e-11
     assert abs(out["c5"] - ref.static_c5) < 1e-9
     report = small_sphere_report(jet, 0.01, grid8)
     assert report.tau == 0.01
     m1_even = ref.static_c3 * 1e-4 + jet.lap_scalar / 120.0 * 1e-8
     assert abs(report.m1 - m1_even) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.1, 10.0))
+def test_small_sphere_quintic_is_exact_at_every_scale(seed, scale):
+    """The coefficients come from the jet alone, with no radius to divide
+    by, so they carry only the roundoff of the closed forms' terms: the
+    sums of the absolute terms of R/12 and of
+    (30|Ric|^2 - 25R^2 + 18 lap R)/2160 set the scale."""
+    jet = random_jet(np.random.default_rng(seed), scale=scale)
+    ref = reference_expansions(jet)
+    out = small_sphere_quintic(jet)
+    c3_scale = np.sum(np.abs(np.diag(jet.ric))) / 12.0
+    c5_scale = (30.0 * jet.ric_sq + 25.0 * jet.scalar ** 2
+                + 18.0 * np.sum(np.abs(np.einsum("ddii->di", jet.d2ric)))) / 2160.0
+    assert abs(out["c3"] - ref.static_c3) <= 1e-13 * c3_scale
+    assert abs(out["c5"] - ref.static_c5) <= 1e-13 * c5_scale
 
 
 def rotated_jet(jet, R):
