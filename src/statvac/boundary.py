@@ -80,7 +80,7 @@ class HarmonicExterior:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(points, axis=1)
         theta, phi = harmonics.angles_from_directions(points)
-        Y, _ = harmonics.harmonic_tables(self.grid.lmax, theta, phi)
+        Y = harmonics.harmonic_tables(self.grid.lmax, theta, phi, derivative=False)
         radial = r[None, :] ** (-(self.grid.ls + 1.0))[:, None]
         return self.coeffs @ (Y * radial)
 

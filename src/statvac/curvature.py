@@ -18,6 +18,7 @@ from (round, -2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,6 +185,11 @@ class CurvatureJet:
     @property
     def lap_scalar(self) -> float:
         return float(np.einsum("ddii->", self.d2ric))
+
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """Read-only :func:`_taylor_blocks` of this jet, computed on first use."""
+        return _frozen(_taylor_blocks(self))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -356,7 +362,7 @@ def small_sphere_data(jet: CurvatureJet, tau: float, order: int,
     if grid.lmax < 4:
         raise ValueError("small-sphere data needs a grid of band limit at least 4")
     tau = float(tau)
-    blocks = _taylor_blocks(jet)
+    blocks = jet._blocks
     coeffs = np.zeros((4, grid.nmodes))
     # the flat (l, m) layout of band 4 is a prefix of every larger band
     coeffs[:, :blocks.shape[-1]] = sum(tau ** k * blocks[k - 2]

@@ -15,8 +15,9 @@ II.10).  The adaptive integrator then uses one shared step sequence, which
 makes the integration error a smooth function of the probe angle; angular
 differences cancel it instead of amplifying it by the inverse stencil
 step.  The right-hand side is ``MetricField.geodesic_acceleration``, which
-contracts the metric derivatives with the velocities and never forms the
-Christoffel symbols.
+contracts the metric derivatives with the velocities as component products
+summed in a fixed order, never forming the Christoffel symbols; its bits
+do not depend on the memory layout of the metric callable's output.
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ def space_form_reference(k: float, tau: float):
     the round metric, and scaled_h is tau times the mean curvature, which
     tends to -2 as tau goes to zero.
     """
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    k, tau = float(k), float(tau)
+    if not np.isfinite(k):
+        raise ValueError("k must be finite")
+    if not 0.0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     x = np.sqrt(abs(k)) * tau
     if k > 0.0:
         if x >= np.pi:
@@ -93,7 +96,8 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     center : array_like, shape (3,)
         Center point of the sphere.
     tau : float
-        Geodesic radius; must stay below the first conjugate point.
+        Geodesic radius; must stay below the first conjugate point, and
+        its square must be a finite float.
     grid : SphereGrid
         Output grid.  Initial directions are the grid nodes mapped through
         the inverse metric square root at the center, so every probe
@@ -116,12 +120,14 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         Taylor data.
     """
     center = np.asarray(center, dtype=float).reshape(3)
+    if not np.all(np.isfinite(center)):
+        raise ValueError("center must be finite")
     tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not (tau > 0.0 and np.isfinite(tau * tau)):
+        raise ValueError("tau must be positive, with a finite square")
     h1, h2 = float(steps[0]), float(steps[1])
-    if not h1 > h2 > 0.0:
-        raise ValueError("steps must be decreasing and positive")
+    if not (np.isfinite(h1) and h1 > h2 > 0.0):
+        raise ValueError("steps must be finite, decreasing and positive")
     margin = np.min(np.minimum(grid.theta, np.pi - grid.theta))
     if margin <= 2.0 * h1:
         raise ValueError("angular stencil crosses a pole; reduce the step")

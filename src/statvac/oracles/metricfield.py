@@ -11,8 +11,12 @@ Points are batched: every difference stencil is gathered into one call of
 the callable, so a metric callable must accept any (npts, 3) batch and
 return (npts, 3, 3), with each point's value independent of the others.
 Polynomial metrics evaluate g and its exact gradient as fixed-order sums
-over monomials of the coordinates, with coefficients contracted once at
-construction.
+over monomials of the coordinates, on the six rows a <= b of the symmetric
+(a, b) pair, gathered to nine at the end.  The coefficients and the
+gradient's term plan are built once, at construction.  The sums stay
+elementwise rather than one BLAS product, which would be faster but rounds
+differently with the batch size: the curvature stencils need each point's
+value to be the same in any batch.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ __all__ = [
 # 4th-order central difference weights at offsets (-2, -1, 1, 2) * h
 _D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+
+# flat rows a*3 + b with a <= b of a symmetric 3x3 index pair, and the
+# gather that expands those six rows back to all nine
+_SYM_ROWS = np.array([0, 1, 2, 4, 5, 8])
+_SYM_GATHER = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def fd_gradient(fun, points: np.ndarray, step: float) -> np.ndarray:
@@ -129,15 +138,19 @@ class MetricField:
         Points, velocities and the result are (npts, 3).  With
         u[c, d] = d_c g_db v^b, the lowered contraction
         w_d = (d_a g_db - 1/2 d_d g_ab) v^a v^b is v^a u[a, d] - 1/2 u[d, a] v^a,
-        and the acceleration is -g^{cd} w_d.
+        and the acceleration is -g^{cd} w_d.  Every contraction is written
+        out as component products summed in index order, so the rounding
+        does not depend on the memory layout the metric callable returns.
         """
         # component-major with points last, as in christoffel
-        v = np.asarray(velocities, dtype=float).reshape(-1, 3).T
+        v = np.ascontiguousarray(np.asarray(velocities, dtype=float).reshape(-1, 3).T)
         g = self(points).transpose(1, 2, 0)
         dg = self.gradient(points).transpose(1, 2, 3, 0)
-        u = np.einsum("cabn,bn->can", dg, v)
-        w = np.einsum("an,adn->dn", v, u) - 0.5 * np.einsum("dan,an->dn", u, v)
-        return -np.einsum("cdn,dn->nc", _inverse3(g), w)
+        u = dg[:, :, 0] * v[0] + dg[:, :, 1] * v[1] + dg[:, :, 2] * v[2]  # [c, a]
+        w = (v[0] * u[0] + v[1] * u[1] + v[2] * u[2]
+             - 0.5 * (u[:, 0] * v[0] + u[:, 1] * v[1] + u[:, 2] * v[2]))
+        ginv = _inverse3(g)
+        return -(ginv[:, 0] * w[0] + ginv[:, 1] * w[1] + ginv[:, 2] * w[2]).T
 
     # -- constructors ----------------------------------------------------
 
@@ -203,16 +216,27 @@ class MetricField:
                     for p in itertools.permutations((2, 3, 4))) / 6.0
 
         # Contracted once per distinct monomial x^idx, idx = (i <= j <= ..):
-        # the block entry times the number of distinct orderings of idx.
-        # g and dg are fixed-order sums over these monomials, component-major
-        # (points last).  Unlike one BLAS product, whose rounding depends on
-        # the batch size, this gives each point the same value in any batch,
-        # which the curvature stencils need: they amplify the last bit.
+        # the block entry times the number of distinct orderings of idx, on
+        # the six rows a <= b only, since the blocks are exactly symmetric
+        # in (a, b).  g and dg are fixed-order sums over these monomials,
+        # component-major (points last), gathered to nine rows at the end.
+        # Unlike one BLAS product, whose rounding depends on the batch size,
+        # this gives each point the same value in any batch, which the
+        # curvature stencils need: they amplify the last bit.
         blocks = (None, lin, quad, cubic)
         terms = [idx for d in (1, 2, 3)
                  for idx in itertools.combinations_with_replacement(range(3), d)]
         coeffs = [len(set(itertools.permutations(idx)))
-                  * blocks[len(idx)][(Ellipsis, *idx)].reshape(9, 1) for idx in terms]
+                  * blocks[len(idx)][(Ellipsis, *idx)].reshape(9)[_SYM_ROWS, None]
+                  for idx in terms]
+        # d x^idx / d x_c = (times c occurs in idx) * x^(idx less one c), as
+        # (c, scaled coefficient, rest monomial) in the order of the sums
+        grad_plan = []
+        for idx, coeff in zip(terms, coeffs):
+            for c in sorted(set(idx)):
+                rest = list(idx)
+                rest.remove(c)
+                grad_plan.append((c, idx.count(c) * coeff, tuple(rest)))
 
         def monomials(pts):
             x = np.ascontiguousarray(pts.T)
@@ -223,21 +247,17 @@ class MetricField:
 
         def fun(pts):
             mono = monomials(pts)
-            g = np.repeat(np.eye(3).reshape(9, 1), pts.shape[0], axis=1)
+            g = np.repeat(np.eye(3).reshape(9)[_SYM_ROWS, None], pts.shape[0], axis=1)
             for idx, coeff in zip(terms, coeffs):
                 g += coeff * mono[idx]
-            return g.T.reshape(-1, 3, 3)
+            return g[_SYM_GATHER].T.reshape(-1, 3, 3)
 
         def grad(pts):
-            # d x^idx / d x_c = (times c occurs in idx) * x^(idx less one c)
             mono = monomials(pts)
-            dg = np.zeros((3, 9, pts.shape[0]))
-            for idx, coeff in zip(terms, coeffs):
-                for c in sorted(set(idx)):
-                    rest = list(idx)
-                    rest.remove(c)
-                    dg[c] += idx.count(c) * coeff * mono[tuple(rest)]
-            return dg.reshape(27, -1).T.reshape(-1, 3, 3, 3)
+            dg = np.zeros((3, 6, pts.shape[0]))
+            for c, coeff, rest in grad_plan:
+                dg[c] += coeff * mono[rest]
+            return dg[:, _SYM_GATHER].reshape(27, -1).T.reshape(-1, 3, 3, 3)
 
         return cls(fun, grad, label=label)
 

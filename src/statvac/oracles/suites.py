@@ -70,7 +70,7 @@ def random_data(grid: SphereGrid, rng: np.random.Generator,
 def _homog_values(lmax: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Degree-zero homogeneous extension of a band-limited scalar."""
     theta, phi = harmonics.angles_from_directions(pts)
-    Y, _ = harmonics.harmonic_tables(lmax, theta, phi)
+    Y = harmonics.harmonic_tables(lmax, theta, phi, derivative=False)
     return coeffs @ Y
 
 

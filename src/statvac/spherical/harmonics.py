@@ -40,7 +40,7 @@ def mode_table(lmax: int):
     return ls, k - ls * ls - ls
 
 
-def _normalized_legendre(lmax: int, theta: np.ndarray):
+def _normalized_legendre(lmax: int, theta: np.ndarray, *, derivative: bool = True):
     """Orthonormalized associated Legendre tables N and dN/dtheta.
 
     Parameters
@@ -49,6 +49,8 @@ def _normalized_legendre(lmax: int, theta: np.ndarray):
         Band limit.
     theta : ndarray, shape (npts,)
         Colatitudes, strictly inside (0, pi) for the derivative table.
+    derivative : bool
+        If false, dN is not computed and None is returned in its place.
 
     Returns
     -------
@@ -72,6 +74,8 @@ def _normalized_legendre(lmax: int, theta: np.ndarray):
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
         N[l, : l - 1] = a * (ct * N[l - 1, : l - 1] - b * N[l - 2, : l - 1])
+    if not derivative:
+        return N, None
 
     # dN_l^m/dtheta = (l*cos(theta)*N_l^m - c_lm*N_{l-1}^m) / sin(theta),
     # c_lm = sqrt((2l+1)/(2l-1) * (l^2 - m^2)); at m = l both c_lm and the
@@ -85,7 +89,8 @@ def _normalized_legendre(lmax: int, theta: np.ndarray):
     return N, dN
 
 
-def harmonic_tables(lmax: int, theta: np.ndarray, phi: np.ndarray):
+def harmonic_tables(lmax: int, theta: np.ndarray, phi: np.ndarray, *,
+                    derivative: bool = True):
     """Value and theta-derivative tables of the real basis at given angles.
 
     Parameters
@@ -94,6 +99,8 @@ def harmonic_tables(lmax: int, theta: np.ndarray, phi: np.ndarray):
         Band limit.
     theta, phi : ndarray, shape (npts,)
         Paired colatitudes and longitudes.
+    derivative : bool
+        If false, only Y is computed and returned.
 
     Returns
     -------
@@ -104,14 +111,17 @@ def harmonic_tables(lmax: int, theta: np.ndarray, phi: np.ndarray):
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
-    N, dN = _normalized_legendre(lmax, theta)
+    N, dN = _normalized_legendre(lmax, theta, derivative=derivative)
     ls, ms = mode_table(lmax)
     am = np.abs(ms)
     scale = np.where(ms == 0, 1.0, np.sqrt(2.0))[:, None]
     # cos(m phi) and sin(m phi) once per order, stacked; m < 0 reads the sines
     mphi = np.arange(lmax + 1)[:, None] * phi
     trig = np.concatenate([np.cos(mphi), np.sin(mphi)])[np.where(ms < 0, lmax + 1 + am, am)]
-    return scale * N[ls, am] * trig, scale * dN[ls, am] * trig
+    Y = scale * N[ls, am] * trig
+    if not derivative:
+        return Y
+    return Y, scale * dN[ls, am] * trig
 
 
 def angles_from_directions(points: np.ndarray):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from statvac import curvature
 from statvac.curvature import (
     CurvatureJet,
     Riemann3,
@@ -117,6 +118,33 @@ def test_small_sphere_data_needs_band_four(rng):
     jet = random_jet(rng)
     with pytest.raises(ValueError, match="band limit at least 4"):
         small_sphere_data(jet, 0.01, 2, build_grid(3))
+
+
+def test_taylor_blocks_are_computed_once_per_jet(grid8, rng, monkeypatch):
+    jet = random_jet(rng)
+    fresh = curvature._taylor_blocks(jet)
+    calls = []
+    original = curvature._taylor_blocks
+
+    def counted(j):
+        calls.append(j)
+        return original(j)
+
+    monkeypatch.setattr(curvature, "_taylor_blocks", counted)
+    first = small_sphere_data(jet, 0.01, 4, grid8)
+    for tau in (0.01, 0.3):
+        for order in (2, 3, 4):
+            data = small_sphere_data(jet, tau, order, build_grid(16))
+    assert len(calls) == 1 and calls[0] is jet
+    # the cached blocks are the fresh ones, and read-only
+    assert jet._blocks.tobytes() == fresh.tobytes()
+    assert not jet._blocks.flags.writeable
+    assert (small_sphere_data(jet, 0.01, 4, grid8).H1.coeffs.tobytes()
+            == first.H1.coeffs.tobytes())
+    assert data.H1.coeffs[:25].tobytes() == sum(
+        0.3 ** k * fresh[k - 2, 3] for k in (2, 3, 4)).tobytes()
+    small_sphere_data(random_jet(rng), 0.01, 2, grid8)
+    assert len(calls) == 2
 
 
 def test_small_sphere_data_closed_forms(grid8, rng):

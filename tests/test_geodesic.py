@@ -39,6 +39,10 @@ def test_space_form_reference_closed_values():
         space_form_reference(0.5, 0.0)
     with pytest.raises(ValueError):
         space_form_reference(1.0, np.pi)
+    for k, tau in ((0.5, np.nan), (0.5, np.inf), (-0.5, np.inf), (np.nan, 0.1),
+                   (np.inf, 0.1), (-np.inf, 0.1)):
+        with pytest.raises(ValueError):
+            space_form_reference(k, tau)
 
 
 def test_flat_geodesic_sphere_has_no_offsets():
@@ -105,6 +109,17 @@ def test_geodesic_sphere_validation():
         geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, grid, steps=(0.01, 0.02))
     with pytest.raises(ValueError):
         geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, grid, steps=(0.2, 0.1))
+    # non-finite input would leave the integrator stepping forever, and a
+    # radius whose square overflows would fail deep inside
+    for tau in (np.nan, np.inf, 1e300):
+        with pytest.raises(ValueError, match="tau"):
+            geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, grid)
+    for center in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(ValueError, match="center"):
+            geodesic_sphere(metric, center, 0.1, grid)
+    for steps in ((np.nan, 0.009), (0.018, np.nan), (np.inf, 0.009), (0.018, -np.inf)):
+        with pytest.raises(ValueError, match="steps"):
+            geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, grid, steps=steps)
 
 
 def test_indefinite_metric_is_a_numerical_failure():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statvac.spherical import harmonics
 from statvac.spherical.grid import SphereGrid, build_grid
@@ -196,6 +196,7 @@ def assert_bitwise_equal(got, want):
 
 colatitudes = st.one_of(
     st.floats(1e-12, np.pi - 1e-12),
+    st.sampled_from((0.0, np.pi)),
     st.floats(1e-12, 1e-6),
     st.floats(1e-12, 1e-6).map(lambda eps: np.pi - eps),
 )
@@ -205,8 +206,10 @@ colatitudes = st.one_of(
 @given(lmax=st.integers(0, 40),
        angles=st.lists(st.tuples(colatitudes, st.floats(-10.0, 10.0)),
                        min_size=1, max_size=12))
+@example(lmax=12, angles=[(0.0, 0.3), (np.pi, -1.0), (1.0, 2.0)])
 def test_harmonic_tables_match_the_per_mode_loop(lmax, angles):
-    """The tables equal the scalar recurrences and a loop over (l, m) bit for bit."""
+    """The tables equal the scalar recurrences and a loop over (l, m) bit for
+    bit, and the value-only call gives the same Y."""
     theta, phi = np.array(angles).T
     N, dN = harmonics._normalized_legendre(lmax, theta)
     N_ref, dN_ref = reference_legendre(lmax, theta)
@@ -215,6 +218,7 @@ def test_harmonic_tables_match_the_per_mode_loop(lmax, angles):
 
     ls, ms = harmonics.mode_table(lmax)
     Y, dY = harmonics.harmonic_tables(lmax, theta, phi)
+    assert_bitwise_equal(harmonics.harmonic_tables(lmax, theta, phi, derivative=False), Y)
     sqrt2 = np.sqrt(2.0)
     for l in range(lmax + 1):
         for m in range(-l, l + 1):

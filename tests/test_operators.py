@@ -10,7 +10,7 @@ from statvac.spherical.fields import ScalarField, SymTensorField, TangentField
 def homogeneous_extension(grid, coeffs, points):
     """Degree-zero homogeneous extension of a band-limited sphere function."""
     theta, phi = harmonics.angles_from_directions(points)
-    Y, _ = harmonics.harmonic_tables(grid.lmax, theta, phi)
+    Y = harmonics.harmonic_tables(grid.lmax, theta, phi, derivative=False)
     return coeffs @ Y
 
 

@@ -116,6 +116,113 @@ def test_geodesic_acceleration_matches_the_christoffel_contraction(rng):
         assert relative_gap(acc, ref) <= 1e-13, metric.label
 
 
+def reference_polynomial(lin, quad, cubic):
+    """g and dg of MetricField.polynomial by per-term loops over all nine
+    (a, b) rows, with the plan rebuilt on every call; returns (fun, grad)."""
+    lin = 0.5 * (lin + lin.transpose(1, 0, 2))
+    quad = 0.5 * (quad + quad.transpose(1, 0, 2, 3))
+    quad = 0.5 * (quad + quad.transpose(0, 1, 3, 2))
+    cubic = 0.5 * (cubic + cubic.transpose(1, 0, 2, 3, 4))
+    cubic = sum(cubic.transpose(0, 1, *p)
+                for p in itertools.permutations((2, 3, 4))) / 6.0
+    blocks = (None, lin, quad, cubic)
+    terms = [idx for d in (1, 2, 3)
+             for idx in itertools.combinations_with_replacement(range(3), d)]
+    coeffs = [len(set(itertools.permutations(idx)))
+              * blocks[len(idx)][(Ellipsis, *idx)].reshape(9, 1) for idx in terms]
+
+    def monomials(pts):
+        x = np.ascontiguousarray(pts.T)
+        mono = {(): np.ones(pts.shape[0])}
+        for idx in terms:
+            mono[idx] = mono[idx[:-1]] * x[idx[-1]]
+        return mono
+
+    def fun(pts):
+        mono = monomials(pts)
+        g = np.repeat(np.eye(3).reshape(9, 1), pts.shape[0], axis=1)
+        for idx, coeff in zip(terms, coeffs):
+            g += coeff * mono[idx]
+        return g.T.reshape(-1, 3, 3)
+
+    def grad(pts):
+        mono = monomials(pts)
+        dg = np.zeros((3, 9, pts.shape[0]))
+        for idx, coeff in zip(terms, coeffs):
+            for c in sorted(set(idx)):
+                rest = list(idx)
+                rest.remove(c)
+                dg[c] += idx.count(c) * coeff * mono[tuple(rest)]
+        return dg.reshape(27, -1).T.reshape(-1, 3, 3, 3)
+
+    return fun, grad
+
+
+def reference_acceleration(metric, points, velocities):
+    """geodesic_acceleration as three einsum contractions."""
+    v = np.asarray(velocities, dtype=float).reshape(-1, 3).T
+    g = metric(points).transpose(1, 2, 0)
+    dg = metric.gradient(points).transpose(1, 2, 3, 0)
+    u = np.einsum("cabn,bn->can", dg, v)
+    w = np.einsum("an,adn->dn", v, u) - 0.5 * np.einsum("dan,an->dn", u, v)
+    return -np.einsum("cdn,dn->nc", _inverse3(g), w)
+
+
+def polynomial_coefficient_draws(rng):
+    """Unsymmetrized blocks, symmetric blocks, and a random metric's."""
+    raw = (rng.uniform(-0.3, 0.3, size=(3, 3, 3)),
+           rng.uniform(-0.3, 0.3, size=(3, 3, 3, 3)),
+           rng.uniform(-0.3, 0.3, size=(3, 3, 3, 3, 3)))
+    no_lin = (np.zeros((3, 3, 3)), rng.uniform(-0.5, 0.5, size=(3, 3, 3, 3)),
+              rng.uniform(-0.5, 0.5, size=(3, 3, 3, 3, 3)))
+    return raw, symmetric_polynomial_coefficients(rng), no_lin
+
+
+def test_polynomial_metric_is_bitwise_the_nine_row_loops(rng):
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    pts[0] = 0.0
+    for blocks in polynomial_coefficient_draws(rng):
+        metric = MetricField.polynomial(*blocks)
+        fun, grad = reference_polynomial(*blocks)
+        assert metric(pts).tobytes() == fun(pts).tobytes()
+        assert metric.gradient(pts).tobytes() == grad(pts).tobytes()
+
+
+def test_polynomial_metric_point_values_do_not_depend_on_the_batch(rng):
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    for blocks in polynomial_coefficient_draws(rng):
+        metric = MetricField.polynomial(*blocks)
+        g, dg = metric(pts), metric.gradient(pts)
+        for i in (0, 1, 128, 256):
+            assert metric(pts[i:i + 1]).tobytes() == g[i:i + 1].tobytes()
+            assert metric.gradient(pts[i:i + 1]).tobytes() == dg[i:i + 1].tobytes()
+
+
+def test_geodesic_acceleration_is_bitwise_the_einsum_form(rng):
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    pts[:3] = 0.0  # the probes' start, where dg vanishes without a linear part
+    vel = rng.standard_normal((257, 3))
+    vel[1, 1] = vel[2] = 0.0
+    metrics = [MetricField.polynomial(*blocks)
+               for blocks in polynomial_coefficient_draws(rng)]
+    for metric in metrics + [random_polynomial_metric(rng)]:
+        acc = metric.geodesic_acceleration(pts, vel)
+        assert acc.tobytes() == reference_acceleration(metric, pts, vel).tobytes()
+
+
+def test_geodesic_acceleration_does_not_depend_on_the_layout(rng):
+    """A C-ordered (npts, 3, 3) metric and the component-major views that
+    polynomial metrics return give the same bits."""
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    vel = rng.standard_normal((257, 3))
+    poly = MetricField.polynomial(*symmetric_polynomial_coefficients(rng))
+    dense = MetricField(lambda p: np.ascontiguousarray(poly(p)),
+                        lambda p: np.ascontiguousarray(poly.gradient(p)))
+    assert not poly(pts).flags.c_contiguous and dense(pts).flags.c_contiguous
+    assert (dense.geodesic_acceleration(pts, vel).tobytes()
+            == poly.geodesic_acceleration(pts, vel).tobytes())
+
+
 def cross_inverse3(g):
     """The adjugate-over-determinant inverse written with np.cross."""
     adj = np.stack([np.cross(g[1], g[2], axis=0), np.cross(g[2], g[0], axis=0),
