@@ -71,10 +71,6 @@ class HarmonicExterior:
         ls = self.grid.ls
         return ScalarField.from_coeffs(self.grid, -(ls + 1.0) * self.coeffs)
 
-    def second_radial_trace(self) -> ScalarField:
-        ls = self.grid.ls
-        return ScalarField.from_coeffs(self.grid, (ls + 1.0) * (ls + 2.0) * self.coeffs)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at ambient points outside the origin."""
         points = np.atleast_2d(np.asarray(points, dtype=float))

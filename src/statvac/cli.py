@@ -98,6 +98,8 @@ def _check_config(config: RunConfig) -> None:
     if config.mode in ("verify", "moments") and config.format == "csv":
         raise io.SchemaError("csv output is only available for fields and "
                              "small-sphere runs")
+    if config.mode in ("verify", "moments") and config.seed < 0:
+        raise io.SchemaError("seed must be nonnegative")
 
 
 def _report_row(report: mass.MassReport) -> dict:
@@ -174,23 +176,32 @@ def run_small_sphere(config: RunConfig) -> str:
     jet = io.jet_from_dict(payload)
     grid = build_grid(config.lmax)
     taus = list(config.tau) if config.tau else [0.01]
-
+    for tau in taus:
+        try:
+            tau ** 5  # the highest power of tau in the output
+        except OverflowError:
+            raise io.SchemaError(f"tau {tau!r} too large: tau**5 overflows") from None
     try:
-        reports = []
-        for tau in taus:
-            report = mass.small_sphere_report(jet, tau, grid)
-            _gate_residuals(report)
-            reports.append(report)
-    except OverflowError as exc:
-        raise io.SchemaError("tau too large: its powers in the small-sphere "
-                             "expansion overflow") from exc
+        with np.errstate(over="raise"):
+            reference = reference_expansions(jet).to_dict()
+    except (OverflowError, FloatingPointError):
+        reference = None
+    if reference is None or not all(map(math.isfinite, reference.values())):
+        raise io.SchemaError("input: curvature jet too large: its reference "
+                             "expansion coefficients overflow")
+
+    reports = []
+    for tau in taus:
+        report = mass.small_sphere_report(jet, tau, grid)
+        _gate_residuals(report)
+        reports.append(report)
     quintic = mass.small_sphere_quintic(jet)
     coefficients = {
         "assembled_c3": quintic["c3"],
         "assembled_c5": quintic["c5"],
         "fit_c3": None,
         "fit_c5": None,
-        "reference": reference_expansions(jet).to_dict(),
+        "reference": reference,
     }
     if len(taus) >= 2:
         t = np.asarray(taus)

@@ -1,20 +1,30 @@
 """Mass functionals for near-round sphere data.
 
-The first-order estimate is the linear boundary integral
+The boundary system is diagonal per mode (l, m), and the Gauss grid
+integrates every product of two band-L fields exactly, so both mass
+orders are sums over the harmonic coefficients.  With h = H1, t =
+tr gamma1, p and q the trace-free potentials, f and v the solved lapse
+and exterior harmonic, and lam = l(l+1):
 
-  m1 = (1/16 pi) * int (2 H1 - tr gamma1),
+  16 pi m1 = sqrt(4 pi) (2 h_00 - t_00)  =  int (2 H1 - tr gamma1),
 
-which also equals (1/16 pi) * int (-2 v_r) for the solved exterior
-harmonic v.  The second-order correction is the quadratic boundary
-integral
+cross-checked against the flux form int (-2 v_r) by node quadrature, and
 
-  m2 = (1/16 pi) * int [ H1 (tr gamma1 - f - v) + (1/2)(v - v_r)(v + 2 f)
-                         + (1/2) |tracefree gamma1|^2 ],
+  16 pi m2 = sum_lm [ h (t - f - v) + (1/2)(l+2) v (v + 2 f)
+                      + (1/4) lam (lam - 2) (p^2 + q^2) ],
 
-evaluated with the fields of the solved boundary system.  m2 is invariant
-under degree-1 shifts of f and under conformal Killing shifts of X, which
-the tests exercise directly.  The Hawking functional is evaluated on full
-(round plus offset) data for cross reference.
+the per-mode form of the quadratic boundary integral
+
+  int [ H1 (tr gamma1 - f - v) + (1/2)(v - v_r)(v + 2 f)
+        + (1/2) |tracefree gamma1|^2 ]:
+
+(l+2) v is the coefficient of v - v_r, and lam (lam - 2)/2 the squared
+norm of a trace-free basis tensor.  The two forms of m2 differ only for
+node-valued data that is not band-limited, by at most a bound in the
+reported truncations (see ``compute_m2``).  m2 is invariant under degree-1
+shifts of f and under conformal Killing shifts of X, which the tests
+exercise directly.  The Hawking functional is nonlinear, so it stays a
+node quadrature of the full (round plus offset) data.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ __all__ = [
 ]
 
 _SIXTEEN_PI = 16.0 * math.pi
+_SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -82,33 +93,41 @@ class MassReport:
 def compute_m1(data: BartnikPerturbation, sol: BoundarySolution | None = None):
     """First-order mass and its harmonic-flux cross check.
 
-    Returns (m1, m1_flux): the boundary-data form and the equivalent
-    integral of -2 v_r over the solved exterior harmonic.  The two must
-    agree to roundoff for consistent inputs.
+    Returns (m1, m1_flux): the boundary-data form, read from the degree-0
+    coefficients, and the node quadrature of -2 v_r over the solved
+    exterior harmonic, an independent route.  The two must agree to
+    roundoff for consistent inputs.
     """
-    grid = data.grid
-    direct = grid.integrate(2.0 * data.H1.values - data.gamma1.trace.values) / _SIXTEEN_PI
+    h00, t00 = data.H1.coeffs[0], data.gamma1.trace.coeffs[0]
+    direct = float(_SQRT_4PI * (2.0 * h00 - t00)) / _SIXTEEN_PI
     if sol is None:
         sol = solve_boundary_system(data)
-    flux = grid.integrate(-2.0 * sol.v.radial_trace().values) / _SIXTEEN_PI
+    flux = data.grid.integrate(-2.0 * sol.v.radial_trace().values) / _SIXTEEN_PI
     return direct, flux
 
 
 def compute_m2(data: BartnikPerturbation, sol: BoundarySolution | None = None) -> float:
-    """Second-order mass correction from the solved boundary fields."""
+    """Second-order mass correction, one sum over the solved modes.
+
+    It equals the node quadrature of the boundary integral whenever the
+    data is band-limited.  Node-valued data that is not (a nonzero
+    ``truncation``) makes the two differ.  Each truncation is orthogonal
+    to every band-L field on the grid, so only products of truncations
+    survive; the node values of f carry a quarter of the trace's.  With
+    a = ``h1_truncation``, b = ``trace_truncation`` and
+    c = ``tracefree_truncation``,
+
+      |m2_quadrature - m2| <= (3/16) a b + c^2 / 2.
+    """
     if sol is None:
         sol = solve_boundary_system(data)
     grid = data.grid
-    H1 = data.H1.values
-    tr = data.gamma1.trace.values
-    f = sol.f.values
-    v = sol.v.trace().values
-    vr = sol.v.radial_trace().values
-    tf_sq = data.gamma1.tracefree_norm_sq_values()
-    integrand = (H1 * (tr - f - v)
-                 + 0.5 * (v - vr) * (v + 2.0 * f)
-                 + 0.5 * tf_sq)
-    return grid.integrate(integrand) / _SIXTEEN_PI
+    h, t = data.H1.coeffs, data.gamma1.trace.coeffs
+    p, q = data.gamma1.p_coeffs, data.gamma1.q_coeffs
+    f, v = sol.f.coeffs, sol.v.coeffs
+    modes = (h * (t - f - v) + 0.5 * (grid.ls + 2.0) * v * (v + 2.0 * f)
+             + 0.25 * grid.lam * (grid.lam - 2.0) * (p * p + q * q))
+    return float(np.sum(modes)) / _SIXTEEN_PI
 
 
 def hawking_mass(gamma_offset: SymTensorField, H_offset: ScalarField) -> float:

@@ -30,7 +30,7 @@ from ..curvature import CurvatureJet, jet_from_arrays
 from ..spherical.fields import ScalarField, SymTensorField
 from ..spherical.grid import SphereGrid
 from .curvature_fd import fd_ricci
-from .metricfield import MetricField
+from .metricfield import _D1_OFFSETS, _D1_WEIGHTS, _D2_OFFSETS, _D2_WEIGHTS, MetricField
 
 __all__ = [
     "NumericalFailure",
@@ -38,9 +38,6 @@ __all__ = [
     "jet_from_metric",
     "space_form_reference",
 ]
-
-_OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
-_W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 class NumericalFailure(RuntimeError):
@@ -74,10 +71,10 @@ def _probe_angles(grid: SphereGrid, steps) -> tuple[np.ndarray, np.ndarray]:
     theta = [grid.theta]
     phi = [grid.phi]
     for h in steps:
-        for off in _OFFS:
+        for off in _D1_OFFSETS:
             theta.append(grid.theta + off * h)
             phi.append(grid.phi)
-        for off in _OFFS:
+        for off in _D1_OFFSETS:
             theta.append(grid.theta)
             phi.append(grid.phi + off * h)
     return np.concatenate(theta), np.concatenate(phi)
@@ -181,7 +178,7 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     blocks = pos[n:].reshape(4, 4, n, 3)  # [h-level x axis, offset, node, xyz]
 
     def stencil_derivative(block, h):
-        return np.einsum("o,onb->nb", _W1, block) / h
+        return np.einsum("o,onb->nb", _D1_WEIGHTS, block) / h
 
     dth = [stencil_derivative(blocks[2 * j], h) for j, h in enumerate((h1, h2))]
     dph = [stencil_derivative(blocks[2 * j + 1], h) for j, h in enumerate((h1, h2))]
@@ -275,12 +272,10 @@ def jet_from_metric(metric: MetricField, center, *, step: float = 0.025,
 
     # every stencil offset, in units of step, evaluated in one batch
     eye = np.eye(3)
-    w_pure = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    o_pure = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    axis_offsets = [off * eye[c] for c in range(3) for off in o_pure]
+    axis_offsets = [off * eye[c] for c in range(3) for off in _D2_OFFSETS]
     pairs = [(c, d) for c in range(3) for d in range(c + 1, 3)]
     mixed_offsets = [oi * eye[c] + oj * eye[d] for c, d in pairs
-                     for oi in _OFFS for oj in _OFFS]
+                     for oi in _D1_OFFSETS for oj in _D1_OFFSETS]
     index = {}
     for off in axis_offsets + mixed_offsets:
         index.setdefault(tuple(off), len(index))
@@ -291,26 +286,27 @@ def jet_from_metric(metric: MetricField, center, *, step: float = 0.025,
 
     ric0 = ric_at(np.zeros(3))
 
+    d1 = tuple(zip(_D1_WEIGHTS, _D1_OFFSETS))
     dric = np.zeros((3, 3, 3))
     for c in range(3):
-        dric[c] = sum(w * ric_at(off * eye[c]) for w, off in zip(_W1, _OFFS)) / step
+        dric[c] = sum(w * ric_at(off * eye[c]) for w, off in d1) / step
 
     d2 = np.zeros((3, 3, 3, 3))
     for c in range(3):
         d2[c, c] = sum(w * ric_at(off * eye[c])
-                       for w, off in zip(w_pure, o_pure)) / step ** 2
+                       for w, off in zip(_D2_WEIGHTS, _D2_OFFSETS)) / step ** 2
     for c, d in pairs:
         acc = sum(wi * wj * ric_at(oi * eye[c] + oj * eye[d])
-                  for wi, oi in zip(_W1, _OFFS) for wj, oj in zip(_W1, _OFFS))
+                  for wi, oi in d1 for wj, oj in d1)
         d2[c, d] = d2[d, c] = acc / step ** 2
 
     # partial -> covariant correction at second order: with vanishing
     # Christoffel symbols at the center only their first derivatives enter.
-    axis_points = center + step * (_OFFS[None, :, None] * eye[:, None, :])
+    axis_points = center + step * (_D1_OFFSETS[None, :, None] * eye[:, None, :])
     gam = metric.christoffel(axis_points.reshape(-1, 3)).reshape(3, 4, 3, 3, 3)
     dgam = np.zeros((3, 3, 3, 3))
     for dax in range(3):
-        dgam[dax] = sum(w * gam[dax, k] for k, w in enumerate(_W1)) / step
+        dgam[dax] = sum(w * gam[dax, k] for k, w in enumerate(_D1_WEIGHTS)) / step
     d2 -= np.einsum("deca,eb->dcab", dgam, ric0)
     d2 -= np.einsum("decb,ae->dcab", dgam, ric0)
 

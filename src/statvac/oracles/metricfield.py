@@ -34,6 +34,9 @@ __all__ = [
 # 4th-order central difference weights at offsets (-2, -1, 1, 2) * h
 _D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+# 4th-order central second-difference weights at offsets (-2, ..., 2) * h
+_D2_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 # flat rows a*3 + b with a <= b of a symmetric 3x3 index pair, and the
 # gather that expands those six rows back to all nine

@@ -27,6 +27,7 @@ REMOVED = [
     ("statvac.spherical", "integrate"),
     ("statvac.boundary", "dirichlet_energy"),
     ("statvac", "dirichlet_energy"),
+    ("statvac.boundary", "HarmonicExterior.second_radial_trace"),
 ]
 
 

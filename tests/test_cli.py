@@ -264,6 +264,10 @@ def test_verify_only_filters_suites(capsys):
     ("--mode", "fields", "--tau", "inf"),
     ("--mode", "small-sphere", "--tau", "inf"),
     ("--mode", "small-sphere", "--tau", "1e308"),
+    ("--mode", "small-sphere", "--tau", "1e70"),
+    ("--mode", "small-sphere", "--tau", "1e70", "--format", "csv"),
+    ("--mode", "verify", "--seed", "-1"),
+    ("--mode", "moments", "--seed", "-1"),
 ])
 def test_schema_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -308,6 +312,16 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--mode", "small-sphere", "--lmax", "8",
                            "--input", string_ric)
     assert code == 2 and "ric" in err
+
+    # its R**2 and |Ric|^2 overflow, at the default tau
+    huge_ric = write_json(tmp_path / "g.json",
+                          {"ric": [[1e300, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0]]})
+    code, out, err = run_cli(capsys, "--mode", "small-sphere", "--lmax", "8",
+                             "--input", huge_ric)
+    assert code == 2 and out == ""
+    assert err == ("schema error: input: curvature jet too large: its "
+                   "reference expansion coefficients overflow\n")
 
 
 def test_residual_gate_exits_3(monkeypatch, capsys):

@@ -12,7 +12,12 @@ from statvac.boundary import (
     BoundarySolution,
     solve_boundary_system,
 )
-from statvac.curvature import CurvatureJet, random_jet, reference_expansions
+from statvac.curvature import (
+    CurvatureJet,
+    random_jet,
+    reference_expansions,
+    small_sphere_data,
+)
 from statvac.mass import (
     compute_m1,
     compute_m2,
@@ -21,6 +26,8 @@ from statvac.mass import (
     small_sphere_quintic,
     small_sphere_report,
 )
+from statvac.oracles.sphere_variation import deformed_sphere_geometry, random_deformation
+from statvac.oracles.suites import _m2_quadrature, random_data
 from statvac.spherical.fields import ScalarField, SymTensorField, TangentField
 from statvac.spherical.grid import build_grid
 
@@ -268,3 +275,51 @@ def test_mass_orders_are_homogeneous_in_the_data(grid8, seed, s):
     eps = data.epsilon_estimate
     assert abs(scaled.m1 - s * base.m1) <= 1e-12 * abs(s) * eps
     assert abs(scaled.m2 - s * s * base.m2) <= 1e-12 * (s * eps) ** 2
+
+
+def quadrature_gap(data):
+    """|node quadrature of m2's boundary integral - compute_m2| / (1 + |m2|)."""
+    sol = solve_boundary_system(data)
+    m2 = compute_m2(data, sol)
+    return abs(_m2_quadrature(data, sol) - m2) / (1.0 + abs(m2))
+
+
+def test_m2_sum_matches_the_quadrature_on_full_band_data(rng):
+    grid = build_grid(48)
+    for _ in range(3):
+        assert quadrature_gap(random_perturbation(grid, rng)) <= 1e-12
+
+
+@pytest.mark.parametrize("lmax", [4, 16, 128])
+def test_m2_sum_matches_the_quadrature_on_small_sphere_data(lmax):
+    grid = build_grid(lmax)
+    jet = random_jet(np.random.default_rng(lmax))
+    for tau in (1e-3, 0.05, 1.0):
+        assert quadrature_gap(small_sphere_data(jet, tau, 4, grid)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lmax=st.integers(4, 24))
+def test_m2_sum_matches_the_quadrature_on_random_data(seed, lmax):
+    data = random_data(build_grid(lmax), np.random.default_rng(seed))
+    assert quadrature_gap(data) <= 1e-12
+
+
+@pytest.mark.parametrize("lmax", [6, 8])
+def test_m2_quadrature_gap_is_bounded_by_the_truncations(lmax):
+    """Deformed-sphere data is node-valued and not band-limited, so the two
+    m2 routes differ, by no more than the bound in compute_m2's docstring."""
+    grid = build_grid(lmax)
+    for seed in range(3):
+        params = random_deformation(grid, np.random.default_rng(seed))
+        gamma, H = deformed_sphere_geometry(params, 1.0)
+        c11, c12, c22 = gamma.components()
+        data = BartnikPerturbation(
+            SymTensorField.from_components(grid, c11 - 1.0, c12, c22 - 1.0),
+            ScalarField.from_values(grid, H.values + 2.0))
+        sol = solve_boundary_system(data)
+        gap = abs(_m2_quadrature(data, sol) - compute_m2(data, sol))
+        a = data.H1.truncation
+        b = data.gamma1.trace.truncation
+        c = data.gamma1.tracefree_truncation
+        assert 1e-8 < gap <= 3.0 / 16.0 * a * b + 0.5 * c * c
