@@ -192,7 +192,12 @@ def run_small_sphere(config: RunConfig) -> str:
 
     reports = []
     for tau in taus:
-        report = mass.small_sphere_report(jet, tau, grid)
+        try:
+            with np.errstate(over="raise"):
+                report = mass.small_sphere_report(jet, tau, grid)
+        except (OverflowError, FloatingPointError):
+            raise io.SchemaError(f"tau {tau!r} too large: the small-sphere "
+                                 "data overflow") from None
         _gate_residuals(report)
         reports.append(report)
     quintic = mass.small_sphere_quintic(jet)

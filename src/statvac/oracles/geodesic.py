@@ -1,23 +1,25 @@
 """Direct geodesic-sphere sampling of an analytic ambient metric.
 
 Independent check on the small-sphere Taylor data.  The geodesic equation
-is integrated from a center point along a batch of probe directions to
-arc length tau; the induced metric of the resulting sphere is read off by
-finite differences of the probe map in the angles, and the mean curvature
-by the first variation of area under a unit-normal perturbation.  Nothing
-here touches the curvature-jet pipeline, so agreement of the two data
-sets to fifth order in tau is a meaningful regression target.
+is integrated from a center point along one direction per grid node to
+arc length tau.  The endpoints are expanded in spherical harmonics on the
+same grid; the angular derivatives of that expansion are the tangents of
+the sphere, which give its induced metric, and the mean curvature is the
+first variation of area under a unit-normal perturbation, whose angular
+derivatives come from the same expansion.  Nothing here touches the
+curvature-jet pipeline, so agreement of the two data sets to fifth order
+in tau is a meaningful regression target.
 
-All probes (the grid nodes plus their angular stencil neighbors at two
-step sizes) are integrated as a single system with scipy's DOP853, the
+All geodesics are integrated as a single system with scipy's DOP853, the
 8th-order Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I,
 II.10).  The adaptive integrator then uses one shared step sequence, which
-makes the integration error a smooth function of the probe angle; angular
-differences cancel it instead of amplifying it by the inverse stencil
-step.  The right-hand side is ``MetricField.geodesic_acceleration``, which
-contracts the metric derivatives with the velocities as component products
-summed in a fixed order, never forming the Christoffel symbols; its bits
-do not depend on the memory layout of the metric callable's output.
+makes the integration error a smooth function of the initial direction;
+the spectral derivatives in angle need that smoothness, since an error
+that jumped from node to node would leak into every band.  The right-hand
+side is ``MetricField.geodesic_acceleration``, which contracts the metric
+derivatives with the velocities as component products summed in a fixed
+order, never forming the Christoffel symbols; its bits do not depend on
+the memory layout of the metric callable's output.
 """
 
 from __future__ import annotations
@@ -66,30 +68,20 @@ def space_form_reference(k: float, tau: float):
     return 1.0, -2.0
 
 
-def _probe_angles(grid: SphereGrid, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of all probes: base nodes first, then 16 stencil blocks."""
-    theta = [grid.theta]
-    phi = [grid.phi]
-    for h in steps:
-        for off in _D1_OFFSETS:
-            theta.append(grid.theta + off * h)
-            phi.append(grid.phi)
-        for off in _D1_OFFSETS:
-            theta.append(grid.theta)
-            phi.append(grid.phi + off * h)
-    return np.concatenate(theta), np.concatenate(phi)
-
-
 def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
-                    *, steps=(0.018, 0.009), rtol: float = 1e-12,
-                    atol: float = 1e-14, diagnostics: dict | None = None
-                    ) -> BartnikPerturbation:
+                    *, rtol: float = 1e-12, atol: float = 1e-14,
+                    diagnostics: dict | None = None) -> BartnikPerturbation:
     """Sample the geodesic sphere of radius tau and return its data offsets.
+
+    One geodesic per grid node is integrated to arc length tau.  The
+    endpoints are expanded in spherical harmonics; the tangents of that
+    expansion give the induced metric and, with the spectral derivatives
+    of the unit normal, the mean curvature.
 
     Parameters
     ----------
     metric : MetricField
-        Ambient metric, positive definite along the probes.
+        Ambient metric, positive definite along the geodesics.
     center : array_like, shape (3,)
         Center point of the sphere.
     tau : float
@@ -97,17 +89,17 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         its square must be a finite float.
     grid : SphereGrid
         Output grid.  Initial directions are the grid nodes mapped through
-        the inverse metric square root at the center, so every probe
-        starts with unit speed and tau is the arc length.
-    steps : pair of floats
-        Angular stencil steps; the coarse one must keep the five-point
-        stencil away from the poles.  The two derivative estimates are
-        Richardson extrapolated.
+        the inverse metric square root at the center, so every geodesic
+        starts with unit speed and tau is the arc length.  The sphere must
+        be resolved by the grid's band limit; ``spectral_tail`` shows how
+        far it is from that.
     rtol, atol : float
         Integrator tolerances.
     diagnostics : dict, optional
         If given, filled with accuracy indicators (speed_drift,
-        richardson_gap, min_det) and integrator effort (num_steps, nfev).
+        spectral_tail, min_det) and integrator effort (num_steps, nfev).
+        spectral_tail is the Euclidean norm of the top band (l = lmax) of
+        the embedding's coefficients, in the units of the coordinates.
 
     Returns
     -------
@@ -122,31 +114,21 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     tau = float(tau)
     if not (tau > 0.0 and np.isfinite(tau * tau)):
         raise ValueError("tau must be positive, with a finite square")
-    h1, h2 = float(steps[0]), float(steps[1])
-    if not (np.isfinite(h1) and h1 > h2 > 0.0):
-        raise ValueError("steps must be finite, decreasing and positive")
-    margin = np.min(np.minimum(grid.theta, np.pi - grid.theta))
-    if margin <= 2.0 * h1:
-        raise ValueError("angular stencil crosses a pole; reduce the step")
-
-    thetas, phis = _probe_angles(grid, (h1, h2))
-    st, ct = np.sin(thetas), np.cos(thetas)
-    dirs = np.stack([st * np.cos(phis), st * np.sin(phis), ct], axis=1)
 
     g0 = metric(center[None])[0]
     evals, evecs = np.linalg.eigh(g0)
     if np.min(evals) <= 0.0:
         raise NumericalFailure("metric is not positive definite at the center")
     root_inv = (evecs * evals ** -0.5) @ evecs.T
-    vel0 = dirs @ root_inv.T
-    pos0 = np.broadcast_to(center, dirs.shape)
+    vel0 = grid.nodes @ root_inv.T
+    pos0 = np.broadcast_to(center, vel0.shape)
 
-    nprobe = dirs.shape[0]
+    n = grid.nnodes
     state0 = np.concatenate([pos0.ravel(), vel0.ravel()])
 
     def rhs(_t, state):
-        pos = state[: 3 * nprobe].reshape(nprobe, 3)
-        vel = state[3 * nprobe:].reshape(nprobe, 3)
+        pos = state[: 3 * n].reshape(n, 3)
+        vel = state[3 * n:].reshape(n, 3)
         acc = metric.geodesic_acceleration(pos, vel)
         return np.concatenate([vel.ravel(), acc.ravel()])
 
@@ -165,38 +147,19 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         raise NumericalFailure(f"geodesic integration failed: {exc}") from exc
     finally:
         # the solver's counting wrapper of rhs closes over the solver; this
-        # reference cycle would keep its step arrays (about 5 MB at lmax 16)
-        # alive until a full collection, so empty the solver to free them now
+        # reference cycle would keep its step arrays alive until a full
+        # collection, so empty the solver to free them now
         if solver is not None:
             vars(solver).clear()
-    pos = state[: 3 * nprobe].reshape(nprobe, 3)
-    vel = state[3 * nprobe:].reshape(nprobe, 3)
-
-    n = grid.nnodes
-    y0 = pos[:n]
-    v_end = vel[:n]
-    blocks = pos[n:].reshape(4, 4, n, 3)  # [h-level x axis, offset, node, xyz]
-
-    def stencil_derivative(block, h):
-        return np.einsum("o,onb->nb", _D1_WEIGHTS, block) / h
-
-    dth = [stencil_derivative(blocks[2 * j], h) for j, h in enumerate((h1, h2))]
-    dph = [stencil_derivative(blocks[2 * j + 1], h) for j, h in enumerate((h1, h2))]
-    ratio4 = (h1 / h2) ** 4
-    y_th_fd = (ratio4 * dth[1] - dth[0]) / (ratio4 - 1.0)
-    y_ph_fd = (ratio4 * dph[1] - dph[0]) / (ratio4 - 1.0)
+    y0 = state[: 3 * n].reshape(n, 3)
+    v_end = state[3 * n:].reshape(n, 3)
 
     gy = metric(y0)
 
     def pair(u, w):
         return np.einsum("na,nab,nb->n", u, gy, w)
 
-    scale = tau ** 2
-    c11 = pair(y_th_fd, y_th_fd) / scale - 1.0
-    c12 = pair(y_th_fd, y_ph_fd) / scale / grid.sin_theta
-    c22 = pair(y_ph_fd, y_ph_fd) / scale / grid.sin_theta ** 2 - 1.0
-
-    # spectral tangents of the probe map, for the curvature quotient
+    # spectral tangents of the embedding
     ycoef = grid.analyze(y0.T)
     y_th = grid.synth("dYdtheta", ycoef).T
     y_ph = grid.synth("dYdphi", ycoef).T
@@ -210,7 +173,7 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     nu = n_up / np.sqrt(norm)[:, None]
     orient = np.sign(pair(nu, v_end))
     if np.any(orient == 0.0):
-        raise NumericalFailure("surface normal orthogonal to the probe")
+        raise NumericalFailure("surface normal orthogonal to the geodesic")
     nu = nu * orient[:, None]
 
     nucoef = grid.analyze(nu.T)
@@ -236,11 +199,15 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
                        + s_tt * area_pp) / det
     h_offset = 2.0 - tau * expansion
 
+    scale = tau ** 2
+    c11 = s_tt / scale - 1.0
+    c12 = s_tp / scale / grid.sin_theta
+    c22 = s_pp / scale / grid.sin_theta ** 2 - 1.0
+
     if diagnostics is not None:
-        diagnostics["speed_drift"] = float(np.max(np.abs(
-            np.einsum("na,nab,nb->n", vel, metric(pos), vel) - 1.0)))
-        diagnostics["richardson_gap"] = float(max(
-            np.max(np.abs(dth[0] - dth[1])), np.max(np.abs(dph[0] - dph[1]))))
+        diagnostics["speed_drift"] = float(np.max(np.abs(pair(v_end, v_end) - 1.0)))
+        diagnostics["spectral_tail"] = float(np.linalg.norm(
+            ycoef[:, grid.ls == grid.lmax]))
         diagnostics["min_det"] = float(np.min(det))
         diagnostics["num_steps"] = num_steps
         diagnostics["nfev"] = nfev

@@ -535,7 +535,7 @@ def _suite_taylor(rng, lmax, fast):
         "num_steps": sum(d["num_steps"] for d in runs),
         "nfev": sum(d["nfev"] for d in runs),
         "max_speed_drift": max(d["speed_drift"] for d in runs),
-        "max_richardson_gap": max(d["richardson_gap"] for d in runs),
+        "max_spectral_tail": max(d["spectral_tail"] for d in runs),
         "min_det": min(d["min_det"] for d in runs),
     }
     return checks, diagnostics

@@ -28,6 +28,7 @@ REMOVED = [
     ("statvac.boundary", "dirichlet_energy"),
     ("statvac", "dirichlet_energy"),
     ("statvac.boundary", "HarmonicExterior.second_radial_trace"),
+    ("statvac.oracles.geodesic", "_probe_angles"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,16 @@ def test_runs_are_byte_identical(tmp_path):
     assert diagnostics["nfev"] > diagnostics["num_steps"] > 0
 
 
+def test_taylor_diagnostics_report_the_spectral_tail(capsys):
+    code, out, _ = run_cli(capsys, "--mode", "verify", "--only", "taylor",
+                           "--lmax", "8", "--seed", "3")
+    assert code == 0
+    diagnostics = json.loads(out)["suites"]["taylor"]["diagnostics"]
+    tail = diagnostics["max_spectral_tail"]
+    assert isinstance(tail, float) and math.isfinite(tail) and tail >= 0.0
+    assert "max_richardson_gap" not in diagnostics
+
+
 def test_output_file_keeps_stdout_clean(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
@@ -274,6 +285,29 @@ def test_schema_errors_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("schema error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_small_sphere_data_overflow_exits_2(tmp_path, capsys, fmt):
+    """A tau whose small-sphere data overflow is refused without warnings;
+    a tau whose data stay finite still reaches the residual gate."""
+    jet = write_json(tmp_path / "jet.json", {"ric": np.eye(3).tolist()})
+    for tau in ("1e30", "1e60"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--mode", "small-sphere",
+                                     "--lmax", "8", "--tau", "0.01",
+                                     "--tau", tau, "--input", jet,
+                                     "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == (f"schema error: tau {float(tau)!r} too large: the "
+                       "small-sphere data overflow\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "--mode", "small-sphere", "--lmax", "8",
+                               "--tau", "1e20", "--input", jet, "--format", fmt)
+    assert code == 3
+    assert json.loads(out)["error"] == "boundary solver residual above threshold"
 
 
 def test_malformed_input_files_exit_2(tmp_path, capsys):

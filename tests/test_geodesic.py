@@ -12,6 +12,7 @@ from statvac.oracles import (
     NumericalFailure,
     geodesic_sphere,
     jet_from_metric,
+    random_polynomial_metric,
     space_form_reference,
 )
 from statvac.spherical.grid import build_grid
@@ -70,6 +71,64 @@ def test_space_form_spheres_match_the_closed_reference():
         assert diag["nfev"] > diag["num_steps"] > 1
 
 
+@pytest.mark.parametrize("k", [0.7, -0.55])
+def test_lmax12_space_form_spheres_match_the_closed_forms(k):
+    grid = build_grid(12)
+    for tau in (0.05, 0.1, 0.3):
+        pert = geodesic_sphere(MetricField.space_form(k), (0.0, 0.0, 0.0),
+                               tau, grid)
+        factor, scaled_h = space_form_reference(k, tau)
+        c11, c12, c22 = pert.gamma1.components()
+        np.testing.assert_allclose(c11, factor - 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(c12, 0.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(c22, factor - 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pert.H1.values, scaled_h + 2.0,
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_lmax12_sphere_is_resolved_against_a_finer_grid():
+    """The lmax-12 data of a random metric agree, through degree 12, with the
+    same sphere sampled on an lmax-20 grid.  Measured worst over six metrics
+    and tau in (0.03, 0.05, 0.08): 7.7e-13, set by the l = 0 coefficients;
+    the lmax-12 spectral tail stayed below 6e-16."""
+    coarse, fine = build_grid(12), build_grid(20)
+    nm = coarse.nmodes
+
+    def coeffs(pert):
+        gamma = pert.gamma1
+        return np.stack([gamma.trace.coeffs[:nm], gamma.p_coeffs[:nm],
+                         gamma.q_coeffs[:nm], pert.H1.coeffs[:nm]])
+
+    metric = random_polynomial_metric(np.random.default_rng(2), amplitude=0.5)
+    for tau in (0.03, 0.08):
+        diag = {}
+        a = geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, coarse, diagnostics=diag)
+        b = geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, fine)
+        assert np.max(np.abs(coeffs(a) - coeffs(b))) < 3e-12
+        assert 0.0 <= diag["spectral_tail"] < 1e-14
+
+
+def test_integration_never_evaluates_more_points_than_grid_nodes():
+    grid = build_grid(6)
+    base = random_polynomial_metric(np.random.default_rng(0), amplitude=0.5)
+    widths = []
+
+    def fun(pts):
+        widths.append(pts.shape[0])
+        return base(pts)
+
+    def grad(pts):
+        widths.append(pts.shape[0])
+        return base.gradient(pts)
+
+    diag = {}
+    geodesic_sphere(MetricField(fun, grad, label="counted"), (0.0, 0.0, 0.0),
+                    0.1, grid, diagnostics=diag)
+    assert max(widths) == grid.nnodes
+    # two calls (value and gradient) per right-hand side, all full width
+    assert widths.count(grid.nnodes) >= 2 * diag["nfev"]
+
+
 def test_geodesic_sphere_never_forms_christoffel_symbols(monkeypatch):
     calls = []
     original = MetricField.christoffel
@@ -105,10 +164,6 @@ def test_geodesic_sphere_validation():
     metric = MetricField.euclidean()
     with pytest.raises(ValueError):
         geodesic_sphere(metric, (0.0, 0.0, 0.0), -0.1, grid)
-    with pytest.raises(ValueError):
-        geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, grid, steps=(0.01, 0.02))
-    with pytest.raises(ValueError):
-        geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, grid, steps=(0.2, 0.1))
     # non-finite input would leave the integrator stepping forever, and a
     # radius whose square overflows would fail deep inside
     for tau in (np.nan, np.inf, 1e300):
@@ -117,9 +172,6 @@ def test_geodesic_sphere_validation():
     for center in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
         with pytest.raises(ValueError, match="center"):
             geodesic_sphere(metric, center, 0.1, grid)
-    for steps in ((np.nan, 0.009), (0.018, np.nan), (np.inf, 0.009), (0.018, -np.inf)):
-        with pytest.raises(ValueError, match="steps"):
-            geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, grid, steps=steps)
 
 
 def test_indefinite_metric_is_a_numerical_failure():
