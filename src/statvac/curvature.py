@@ -85,9 +85,12 @@ class Riemann3:
                 K[A, B] = R[a, b, c, d]
         return cls(K, symmetry_residual=float(res))
 
-    @property
+    @cached_property
     def dense(self) -> np.ndarray:
-        return np.einsum("abx,cdy,xy->abcd", _EPS3, _EPS3, self.pair_matrix)
+        """The full (3, 3, 3, 3) tensor, built once and read-only."""
+        R = np.einsum("abx,cdy,xy->abcd", _EPS3, _EPS3, self.pair_matrix)
+        R.setflags(write=False)
+        return R
 
     def ricci(self) -> np.ndarray:
         """Contraction R_ab = R_{cab}{}^c with the flat metric."""

@@ -60,7 +60,7 @@ class DeformationParams:
     @cached_property
     def grad_v(self) -> np.ndarray:
         """Ambient gradient of vperp at the grid nodes; the same for every t."""
-        return self.vperp.gradient(self.grid.nodes)
+        return self.vperp.gradient()
 
     def widened(self, wgrid: SphereGrid) -> "DeformationParams":
         """Re-express the same parameters on a larger grid."""
@@ -275,18 +275,15 @@ def conformal_probe_check(lmax: int = 8, steps=(2e-3, 1e-3)) -> dict:
                                vperp=HarmonicExterior(grid, coeffs))
 
     h1, h2 = steps
-
-    def h_at(t):
-        _, h = deformed_sphere_geometry(params, t)
-        return h.values
+    h_at = {t: deformed_sphere_geometry(params, t)[1].values
+            for t in (0.0, h1, -h1, h2, -h2)}
 
     def closed(t):
         return -2.0 / np.sqrt(1.0 + t) + t * (1.0 + t) ** (-1.5)
 
-    closed_err = max(float(np.max(np.abs(h_at(t) - closed(t))))
-                     for t in (0.0, h1, -h1, h2, -h2))
-    d_h1 = (h_at(h1) - 2.0 * h_at(0.0) + h_at(-h1)) / h1 ** 2
-    d_h2 = (h_at(h2) - 2.0 * h_at(0.0) + h_at(-h2)) / h2 ** 2
+    closed_err = max(float(np.max(np.abs(h - closed(t)))) for t, h in h_at.items())
+    d_h1 = (h_at[h1] - 2.0 * h_at[0.0] + h_at[-h1]) / h1 ** 2
+    d_h2 = (h_at[h2] - 2.0 * h_at[0.0] + h_at[-h2]) / h2 ** 2
     second = (4.0 * d_h2 - d_h1) / 3.0
     return {
         "h_curve_error": closed_err,
@@ -306,14 +303,14 @@ def mass_variation_identity(gdot_fun, grid: SphereGrid, t_step: float = 1e-3,
     finite differences of gdot.  Both sides use the outward normal.
     """
     grid_x = grid.nodes
+    # gdot and its gradient do not depend on t
+    gdot = np.asarray(gdot_fun(grid_x))
+    dgdot = fd_gradient(gdot_fun, grid_x, x_step)
 
     def h_values(t):
-        def metric(pts):
-            return np.eye(3) + t * np.asarray(gdot_fun(pts))
-
-        g = metric(grid_x)
+        g = np.eye(3) + t * gdot
         ginv = np.linalg.inv(g)
-        dg = t * fd_gradient(gdot_fun, grid_x, x_step)
+        dg = t * dgdot
         bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
                    - np.einsum("ndab->nabd", dg))
         gam = 0.5 * np.einsum("ncd,nabd->ncab", ginv, bracket)
@@ -350,13 +347,11 @@ def mass_variation_identity(gdot_fun, grid: SphereGrid, t_step: float = 1e-3,
     d_h2 = (h_values(0.5 * t_step) - h_values(-0.5 * t_step)) / t_step
     hdot = (4.0 * d_h2 - d_h1) / 3.0
 
-    gdot = np.asarray(gdot_fun(grid_x))
     e1, e2 = grid.e_theta, grid.e_phi
     tangential_trace = (np.einsum("nab,na,nb->n", gdot, e1, e1)
                         + np.einsum("nab,na,nb->n", gdot, e2, e2))
     lhs = grid.integrate(2.0 * hdot - tangential_trace)
 
-    dgdot = fd_gradient(gdot_fun, grid_x, x_step)
     div_part = np.einsum("ncca->na", dgdot)
     dtr_part = np.einsum("nacc->na", dgdot)
     rhs = grid.integrate(np.einsum("na,na->n", div_part - dtr_part, grid_x))

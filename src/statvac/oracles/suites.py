@@ -256,11 +256,9 @@ def _suite_invariants(rng, lmax, fast):
         ric = 0.5 * (ric + ric.T)
         closed_riem, closed_cross = quadratic_invariants(ric)
         R = riemann_from_ricci(ric)
-        worst_riem = max(worst_riem,
-                         abs(closed_riem - R.riem_sq()) / max(abs(R.riem_sq()), 1.0))
-        worst_cross = max(worst_cross,
-                          abs(closed_cross - R.cross_invariant())
-                          / max(abs(R.cross_invariant()), 1.0))
+        riem, cross = R.riem_sq(), R.cross_invariant()
+        worst_riem = max(worst_riem, abs(closed_riem - riem) / max(abs(riem), 1.0))
+        worst_cross = max(worst_cross, abs(closed_cross - cross) / max(abs(cross), 1.0))
         worst_ricci = max(worst_ricci, float(np.max(np.abs(R.ricci() - ric))))
         worst_sym = max(worst_sym, R.symmetry_residual)
     return {

@@ -7,6 +7,10 @@ plus two trace-free potentials.  On the round sphere this potential
 representation is complete: a trace-free divergence-free symmetric tensor
 vanishes, so two potentials capture every trace-free field.
 
+Node data that a field derives from its coefficients or potentials is
+synthesized on first read and then kept, read-only, so a field that is
+only used spectrally never runs a grid transform.
+
 Frame conventions: components labelled 1 and 2 refer to the orthonormal
 frame (e_theta, e_phi).  The pointwise rotation J maps (u1, u2) to
 (-u2, u1); on trace-free symmetric tensors with components (t1, t2) =
@@ -30,6 +34,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Once:
+    """A value computed by ``fn`` on the first call and kept.
+
+    Fields hold derived node data through these, so shallow copies of a
+    field (see ``SymTensorField.tracefree``) share one synthesis.
+    """
+
+    __slots__ = ("_fn", "_value")
+
+    def __init__(self, fn=None, *, value=None):
+        self._fn = fn
+        self._value = value
+
+    def __call__(self):
+        if self._fn is not None:
+            self._value = self._fn()
+            self._fn = None
+        return self._value
+
+
 class ScalarField:
     """Scalar function on a sphere grid with dual representation.
 
@@ -37,31 +61,55 @@ class ScalarField:
     the spectral operators.  ``truncation`` records the max-norm mismatch
     between the stored values and the synthesis of the stored coefficients,
     which is nonzero only when the field is not band-limited at the grid's
-    lmax.
+    lmax.  Values of a field built from coefficients, and the truncation of
+    one built from values, are computed on first read.
     """
 
     def __init__(self, grid: SphereGrid, values: np.ndarray, coeffs: np.ndarray,
                  truncation: float = 0.0):
-        self.grid = grid
-        self.values = _readonly(values)
-        self.coeffs = _readonly(coeffs)
-        self.truncation = float(truncation)
-        if self.values.shape != (grid.nnodes,):
+        values = _readonly(values)
+        if values.shape != (grid.nnodes,):
             raise ValueError("values array does not match the grid")
+        self._attach(grid, coeffs, _Once(value=values), _Once(value=float(truncation)))
+
+    def _attach(self, grid, coeffs, values: _Once, truncation: _Once):
+        self.grid = grid
+        self.coeffs = _readonly(coeffs)
         if self.coeffs.shape != (grid.nmodes,):
             raise ValueError("coefficient array does not match the grid")
+        self._values = values
+        self._truncation = truncation
+
+    @classmethod
+    def _lazy(cls, grid, coeffs, values, truncation=None) -> "ScalarField":
+        """A field whose values, and truncation if given (else 0), are
+        computed by zero-argument callables on first read."""
+        out = cls.__new__(cls)
+        out._attach(grid, coeffs, _Once(lambda: _readonly(values())),
+                    _Once(lambda: float(truncation())) if truncation else _Once(value=0.0))
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values()
+
+    @property
+    def truncation(self) -> float:
+        return self._truncation()
 
     @classmethod
     def from_values(cls, grid: SphereGrid, values: np.ndarray) -> "ScalarField":
-        values = np.asarray(values, dtype=float)
+        values = _readonly(values)
         coeffs = grid.analyze(values)
-        trunc = float(np.max(np.abs(values - grid.synthesize(coeffs)), initial=0.0))
-        return cls(grid, values, coeffs, truncation=trunc)
+        field = cls(grid, values, coeffs)
+        field._truncation = _Once(lambda: float(
+            np.max(np.abs(values - grid.synthesize(coeffs)), initial=0.0)))
+        return field
 
     @classmethod
     def from_coeffs(cls, grid: SphereGrid, coeffs: np.ndarray) -> "ScalarField":
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(grid, grid.synthesize(coeffs), coeffs, truncation=0.0)
+        coeffs = _readonly(coeffs)
+        return cls._lazy(grid, coeffs, lambda: grid.synthesize(coeffs))
 
     @classmethod
     def zeros(cls, grid: SphereGrid) -> "ScalarField":
@@ -71,24 +119,24 @@ class ScalarField:
     def constant(cls, grid: SphereGrid, value: float) -> "ScalarField":
         return cls.from_values(grid, np.full(grid.nnodes, float(value)))
 
-    # -- arithmetic helpers (values side; coefficients follow linearly) --
+    # -- arithmetic: node values are the operands' node values combined --
 
     def __add__(self, other):
         self._check(other)
-        return ScalarField(self.grid, self.values + other.values,
-                           self.coeffs + other.coeffs,
-                           truncation=self.truncation + other.truncation)
+        return ScalarField._lazy(self.grid, self.coeffs + other.coeffs,
+                                 lambda: self.values + other.values,
+                                 lambda: self.truncation + other.truncation)
 
     def __sub__(self, other):
         self._check(other)
-        return ScalarField(self.grid, self.values - other.values,
-                           self.coeffs - other.coeffs,
-                           truncation=self.truncation + other.truncation)
+        return ScalarField._lazy(self.grid, self.coeffs - other.coeffs,
+                                 lambda: self.values - other.values,
+                                 lambda: self.truncation + other.truncation)
 
     def __mul__(self, scalar: float):
         s = float(scalar)
-        return ScalarField(self.grid, s * self.values, s * self.coeffs,
-                           truncation=abs(s) * self.truncation)
+        return ScalarField._lazy(self.grid, s * self.coeffs, lambda: s * self.values,
+                                 lambda: abs(s) * self.truncation)
 
     __rmul__ = __mul__
 
@@ -117,7 +165,8 @@ class TangentField:
     """Tangent vector field X = grad(a) + J grad(b).
 
     The potentials a and b are coefficient vectors supported on l >= 1.
-    Components at the nodes are cached in the orthonormal frame.
+    Components at the nodes, in the orthonormal frame, are synthesized on
+    first read.
     """
 
     def __init__(self, grid: SphereGrid, a_coeffs: np.ndarray, b_coeffs: np.ndarray):
@@ -130,9 +179,19 @@ class TangentField:
         b[grid.ls == 0] = 0.0
         self.a_coeffs = _readonly(a)
         self.b_coeffs = _readonly(b)
-        (a1, b1), (a2, b2) = grid.grad_synth(np.stack([a, b]))
-        self.comp1 = _readonly(a1 - b2)
-        self.comp2 = _readonly(a2 + b1)
+
+        def synth():
+            (a1, b1), (a2, b2) = grid.grad_synth(np.stack([a, b]))
+            return _readonly(a1 - b2), _readonly(a2 + b1)
+        self._components = _Once(synth)
+
+    @property
+    def comp1(self) -> np.ndarray:
+        return self._components()[0]
+
+    @property
+    def comp2(self) -> np.ndarray:
+        return self._components()[1]
 
     @classmethod
     def zeros(cls, grid: SphereGrid) -> "TangentField":
@@ -204,9 +263,11 @@ class SymTensorField:
     The full tensor is gamma = (trace/2) * g + tracefree, with the
     trace-free part tfHess(p) + J tfHess(q) for potentials supported on
     l >= 2.  Node components (t1, t2) = (tracefree_11, tracefree_12) are
-    cached exactly as given at construction, so quadrature against the
+    kept exactly as given at construction, so quadrature against the
     tensor does not suffer from potential truncation; the mismatch is
-    recorded in ``tracefree_truncation``.
+    recorded in ``tracefree_truncation``.  Without given components, t1
+    and t2 are synthesized from the potentials on first read; with them,
+    the same one synthesis gives ``tracefree_truncation`` on first read.
     """
 
     def __init__(self, grid: SphereGrid, trace: ScalarField,
@@ -222,19 +283,32 @@ class SymTensorField:
         q[grid.ls < 2] = 0.0
         self.p_coeffs = _readonly(p)
         self.q_coeffs = _readonly(q)
-        (p1, q1), (p2, q2) = grid.tfhess_synth(np.stack([p, q]))
-        synth1 = p1 - q2
-        synth2 = p2 + q1
+
+        def synth():
+            (p1, q1), (p2, q2) = grid.tfhess_synth(np.stack([p, q]))
+            return _readonly(p1 - q2), _readonly(p2 + q1)
+        synthesized = _Once(synth)
         if t1 is None:
-            t1, t2 = synth1, synth2
-            self.tracefree_truncation = 0.0
+            self._components = synthesized
+            self._truncation = _Once(value=0.0)
         else:
-            t1 = np.asarray(t1, dtype=float)
-            t2 = np.asarray(t2, dtype=float)
-            self.tracefree_truncation = float(max(np.max(np.abs(synth1 - t1), initial=0.0),
-                                                  np.max(np.abs(synth2 - t2), initial=0.0)))
-        self.t1 = _readonly(t1)
-        self.t2 = _readonly(t2)
+            given = _readonly(t1), _readonly(t2)
+            self._components = _Once(value=given)
+            self._truncation = _Once(lambda: float(max(
+                np.max(np.abs(synthesized()[0] - given[0]), initial=0.0),
+                np.max(np.abs(synthesized()[1] - given[1]), initial=0.0))))
+
+    @property
+    def t1(self) -> np.ndarray:
+        return self._components()[0]
+
+    @property
+    def t2(self) -> np.ndarray:
+        return self._components()[1]
+
+    @property
+    def tracefree_truncation(self) -> float:
+        return self._truncation()
 
     @classmethod
     def zeros(cls, grid: SphereGrid) -> "SymTensorField":
@@ -275,7 +349,8 @@ class SymTensorField:
         """The trace-free part as a field of its own.
 
         It shares the read-only potentials, node components and
-        ``tracefree_truncation`` of this field; only the trace is zero.
+        ``tracefree_truncation`` of this field, synthesized or not yet;
+        only the trace is zero.
         """
         out = copy.copy(self)
         out.trace = ScalarField.zeros(self.grid)

@@ -63,6 +63,13 @@ def test_pair_roundtrip(rng):
     np.testing.assert_allclose(back.dense, riem.dense, atol=1e-13)
 
 
+def test_dense_is_built_once_and_read_only(rng):
+    ric = rng.normal(size=(3, 3))
+    riem = riemann_from_ricci(ric + ric.T)
+    assert riem.dense is riem.dense
+    assert not riem.dense.flags.writeable
+
+
 def test_jet_validation_rejects_bad_arrays():
     with pytest.raises(ValueError):
         CurvatureJet(np.zeros((3, 2)), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)))

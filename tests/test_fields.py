@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from statvac import mass
+from statvac.oracles.suites import random_data
 from statvac.spherical.fields import ScalarField, SymTensorField, TangentField
+from statvac.spherical.grid import SphereGrid, build_grid
 
 
 def pullback_components(grid, A):
@@ -158,6 +161,7 @@ def test_tracefree_shares_the_field_without_resynthesis(grid8, rng, monkeypatch)
     assert T.tracefree_truncation > 0.0
     rebuilt = SymTensorField(grid8, ScalarField.zeros(grid8), T.p_coeffs,
                              T.q_coeffs, t1=T.t1, t2=T.t2)
+    rebuilt_truncation = rebuilt.tracefree_truncation
     calls = []
     monkeypatch.setattr(type(grid8), "tfhess_synth",
                         lambda *args: calls.append(1))
@@ -166,8 +170,76 @@ def test_tracefree_shares_the_field_without_resynthesis(grid8, rng, monkeypatch)
     assert np.all(F.trace.values == 0.0) and np.all(F.trace.coeffs == 0.0)
     for name in ("p_coeffs", "q_coeffs", "t1", "t2"):
         assert getattr(F, name) is getattr(T, name)
-    assert F.tracefree_truncation == rebuilt.tracefree_truncation
+    assert F.tracefree_truncation == rebuilt_truncation
     np.testing.assert_array_equal(T.trace.values, c11 + c22)
+
+
+@pytest.fixture
+def synth_calls(monkeypatch):
+    """Counts SphereGrid.synth calls, the one route to node values."""
+    calls = []
+    original = SphereGrid.synth
+
+    def counted(self, table, coeffs):
+        calls.append(table)
+        return original(self, table, coeffs)
+
+    monkeypatch.setattr(SphereGrid, "synth", counted)
+    return calls
+
+
+def test_fields_synthesize_only_what_is_read(grid8, rng, synth_calls):
+    f = ScalarField.from_coeffs(grid8, rng.normal(size=grid8.nmodes))
+    g = 2.0 * f - ScalarField.from_coeffs(grid8, rng.normal(size=grid8.nmodes))
+    X = TangentField(grid8, *rng.normal(size=(2, grid8.nmodes)))
+    T = SymTensorField(grid8, g, *rng.normal(size=(2, grid8.nmodes)))
+    F = T.tracefree()
+    for field in (f, g):
+        assert field.coeffs.shape == (grid8.nmodes,) and field.truncation == 0.0
+    assert X.divergence().coeffs.shape == T.p_coeffs.shape == F.q_coeffs.shape
+    assert synth_calls == []
+    f.values, f.values
+    assert synth_calls == ["Y"]
+    X.comp1, X.comp2
+    T.t1, F.t2, F.t1
+    assert synth_calls == ["Y", "dYdtheta", "G2", "E1", "E2"]
+
+
+def test_lazy_values_equal_the_eager_synthesis(grid8, rng):
+    a, b, p, q = rng.normal(size=(4, grid8.nmodes))
+    p[grid8.ls < 2] = q[grid8.ls < 2] = 0.0
+    f = ScalarField.from_coeffs(grid8, a)
+    g = ScalarField.from_values(grid8, np.exp(grid8.nodes[:, 0]))
+    h = 0.25 * f - 0.5 * g + f
+    X = TangentField(grid8, a, b)
+    T = SymTensorField(grid8, f, p, q)
+    S = SymTensorField(grid8, f, p, q, t1=0.5 * T.t1 + 1e-3, t2=T.t2)
+    (a1, b1), (a2, b2) = grid8.grad_synth(np.stack([X.a_coeffs, X.b_coeffs]))
+    (p1, q1), (p2, q2) = grid8.tfhess_synth(np.stack([p, q]))
+    g_trunc = np.max(np.abs(g.values - grid8.synthesize(g.coeffs)))
+    expected = {
+        "f": (f.values, grid8.synthesize(f.coeffs)),
+        "h": (h.values, 0.25 * f.values - 0.5 * g.values + f.values),
+        "X1": (X.comp1, a1 - b2), "X2": (X.comp2, a2 + b1),
+        "T1": (T.t1, p1 - q2), "T2": (T.t2, p2 + q1),
+        "g_trunc": (g.truncation, g_trunc),
+        "h_trunc": (h.truncation, 0.5 * g_trunc),
+        "S_trunc": (S.tracefree_truncation,
+                    max(np.max(np.abs(p1 - q2 - S.t1)), np.max(np.abs(p2 + q1 - S.t2)))),
+    }
+    for name, (lazy, eager) in expected.items():
+        assert np.asarray(lazy).tobytes() == np.asarray(eager).tobytes(), name
+    for arr in (f.values, h.values, X.comp1, X.comp2, T.t1, T.t2, S.t1):
+        assert not arr.flags.writeable
+    assert f.values is f.values and X.comp1 is X.comp1 and T.t1 is T.tracefree().t1
+
+
+def test_one_estimate_at_lmax_48_synthesizes_nine_times(rng, synth_calls):
+    """Data built from coefficients, as io and small_sphere_data build it."""
+    data = random_data(build_grid(48), rng)
+    report = mass.estimate(data)
+    assert report.diagnostics["residuals"]["c"] < 1e-12
+    assert len(synth_calls) == 9
 
 
 def test_round_metric_components(grid8):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statvac.boundary import HarmonicExterior
+from statvac.oracles import sphere_variation
 from statvac.oracles import (
     DeformationParams,
     conformal_probe_check,
@@ -53,13 +54,13 @@ def test_variation_check_evaluates_the_exterior_gradient_once(grid8, rng, monkey
     calls = []
     original = HarmonicExterior.gradient
 
-    def counted(self, points):
-        calls.append(points.shape)
+    def counted(self, points=None):
+        calls.append(points)
         return original(self, points)
 
     monkeypatch.setattr(HarmonicExterior, "gradient", counted)
     variation_check(random_deformation(grid8, rng))
-    assert len(calls) == 1
+    assert calls == [None]
 
 
 def test_first_variation_is_linear_in_the_parameters(grid8, rng):
@@ -127,6 +128,34 @@ def test_conformal_probe_matches_the_closed_curve():
     assert report["h_curve_error"] < 1e-12
     assert abs(report["second_derivative"] + 4.5) < 1e-8
     assert report["second_derivative_error"] < 1e-8
+
+
+def test_conformal_probe_builds_each_of_its_five_spheres_once(monkeypatch):
+    times = []
+    original = sphere_variation.deformed_sphere_geometry
+
+    def counted(params, t):
+        times.append(t)
+        return original(params, t)
+
+    monkeypatch.setattr(sphere_variation, "deformed_sphere_geometry", counted)
+    conformal_probe_check(lmax=6, steps=(2e-3, 1e-3))
+    assert sorted(times) == [-2e-3, -1e-3, 0.0, 1e-3, 2e-3]
+
+
+def test_mass_variation_identity_differences_gdot_once(grid12, monkeypatch):
+    """gdot and its finite-difference gradient do not depend on t."""
+    calls = []
+    original = sphere_variation.fd_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sphere_variation, "fd_gradient", counted)
+    mass_variation_identity(lambda pts: np.eye(3) + pts[:, :, None] * pts[:, None, :],
+                            grid12)
+    assert len(calls) == 1
 
 
 def test_mass_variation_identity_on_linear_perturbations(grid12, rng):
