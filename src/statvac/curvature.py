@@ -44,6 +44,21 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_i, _k, _j] = -1.0
 _EPS3.setflags(write=False)
 
+# Flat (81-entry) index tables of the pair basis.  Entry abcd of a dense
+# tensor is sign * K[source] of its flattened 3x3 pair matrix K, with
+# sign = eps_abx eps_cdy in {0, +1, -1}; _SWAPS[k] permutes a flat tensor
+# by the k-th algebraic symmetry, which holds when the tensor equals
+# _SWAP_SIGNS[k] times its permutation.
+_PAIR_TERMS = np.einsum("abx,cdy->abcdxy", _EPS3, _EPS3).reshape(81, 9)
+_DENSE_SOURCE = np.argmax(np.abs(_PAIR_TERMS), axis=1)
+_DENSE_SIGN = _PAIR_TERMS[np.arange(81), _DENSE_SOURCE]
+_FLAT = np.arange(81).reshape(3, 3, 3, 3)
+_SWAPS = np.stack([np.swapaxes(_FLAT, 0, 1), np.swapaxes(_FLAT, 2, 3),
+                   np.transpose(_FLAT, (2, 3, 0, 1))]).reshape(3, 81)
+_SWAP_SIGNS = np.array([[1.0], [1.0], [-1.0]])
+_PAIRS = ((1, 2), (2, 0), (0, 1))
+_PAIR_INDEX = np.array([[_FLAT[a, b, c, d] for c, d in _PAIRS] for a, b in _PAIRS])
+
 # the grid that holds the band-4 Taylor blocks of small-sphere data exactly
 _BAND4 = build_grid(4)
 
@@ -56,78 +71,91 @@ class Riemann3:
     matrix over that basis and all the algebraic symmetries hold exactly
     by construction.  ``symmetry_residual`` records how far the raw input
     of ``from_dense`` was from satisfying them.
+
+    Leading axes are a batch of points: a pair matrix of shape (..., 3, 3)
+    holds one tensor per batch entry, the residual and the invariants then
+    have the batch shape, and every entry's arithmetic is the one of its
+    own point.  A single point keeps Python floats.
     """
 
-    _PAIRS = ((1, 2), (2, 0), (0, 1))
-
-    def __init__(self, pair_matrix: np.ndarray, symmetry_residual: float = 0.0):
+    def __init__(self, pair_matrix: np.ndarray, symmetry_residual: float | np.ndarray = 0.0):
         K = np.asarray(pair_matrix, dtype=float)
-        if K.shape != (3, 3):
+        if K.shape[-2:] != (3, 3):
             raise ValueError("pair matrix must be 3x3")
-        self.pair_matrix = 0.5 * (K + K.T)
+        self.pair_matrix = 0.5 * (K + np.swapaxes(K, -1, -2))
         self.pair_matrix.setflags(write=False)
-        self.symmetry_residual = float(symmetry_residual)
+        self.symmetry_residual = _batch_scalar(
+            np.broadcast_to(np.asarray(symmetry_residual, dtype=float), K.shape[:-2]))
 
     @classmethod
     def from_dense(cls, R: np.ndarray) -> "Riemann3":
         R = np.asarray(R, dtype=float)
-        if R.shape != (3, 3, 3, 3):
+        if R.shape[-4:] != (3, 3, 3, 3):
             raise ValueError("dense Riemann must be 3x3x3x3")
-        scale = 1.0 + np.max(np.abs(R))
-        res = max(
-            np.max(np.abs(R + np.swapaxes(R, 0, 1))),
-            np.max(np.abs(R + np.swapaxes(R, 2, 3))),
-            np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))),
-        ) / scale
-        K = np.empty((3, 3))
-        for A, (a, b) in enumerate(cls._PAIRS):
-            for B, (c, d) in enumerate(cls._PAIRS):
-                K[A, B] = R[a, b, c, d]
-        return cls(K, symmetry_residual=float(res))
+        flat = R.reshape(R.shape[:-4] + (81,))
+        scale = 1.0 + np.max(np.abs(flat), axis=-1)
+        defects = flat[..., None, :] + _SWAP_SIGNS * flat[..., _SWAPS]
+        res = np.max(np.abs(defects), axis=(-2, -1)) / scale
+        return cls(flat[..., _PAIR_INDEX], symmetry_residual=res)
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """The full (3, 3, 3, 3) tensor, built once and read-only."""
-        R = np.einsum("abx,cdy,xy->abcd", _EPS3, _EPS3, self.pair_matrix)
+        """The full (..., 3, 3, 3, 3) tensor, built once and read-only."""
+        K = self.pair_matrix.reshape(self.pair_matrix.shape[:-2] + (9,))
+        # + 0.0 makes the zero entries +0.0, as a sum over the pair basis does
+        R = (K[..., _DENSE_SOURCE] * _DENSE_SIGN + 0.0).reshape(K.shape[:-1] + (3, 3, 3, 3))
         R.setflags(write=False)
         return R
 
     def ricci(self) -> np.ndarray:
         """Contraction R_ab = R_{cab}{}^c with the flat metric."""
-        return np.einsum("cabc->ab", self.dense)
+        return np.einsum("...cabc->...ab", self.dense)
 
-    def riem_sq(self) -> float:
+    def riem_sq(self):
         R = self.dense
-        return float(np.einsum("abcd,abcd->", R, R))
+        return _batch_scalar(np.einsum("...abcd,...abcd->...", R, R))
 
-    def cross_invariant(self) -> float:
+    def cross_invariant(self):
         R = self.dense
-        return float(np.einsum("abcd,adcb->", R, R))
+        return _batch_scalar(np.einsum("...abcd,...adcb->...", R, R))
+
+
+def _batch_scalar(value: np.ndarray):
+    """A float for a single point, the array for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def riemann_from_ricci(ric: np.ndarray) -> Riemann3:
-    """Reconstruct the 3D Riemann tensor from Ricci at a point (metric = delta)."""
+    """Reconstruct the 3D Riemann tensor from Ricci (metric = delta).
+
+    ``ric`` has shape (..., 3, 3); leading axes are a batch of points.
+    """
     ric = np.asarray(ric, dtype=float)
-    if ric.shape != (3, 3):
+    if ric.shape[-2:] != (3, 3):
         raise ValueError("ric must be a 3x3 matrix")
     return Riemann3.from_dense(_riemann_dense(ric))
 
 
 def _riemann_dense(ric: np.ndarray) -> np.ndarray:
+    """Dense Riemann of Ricci matrices of shape (..., 3, 3), entry by entry."""
     g = np.eye(3)
-    scal = np.trace(ric)
-    R = (np.einsum("ad,bc->abcd", ric, g) + np.einsum("bc,ad->abcd", ric, g)
-         - np.einsum("ac,bd->abcd", ric, g) - np.einsum("bd,ac->abcd", ric, g))
+    scal = np.trace(ric, axis1=-2, axis2=-1)[..., None, None, None, None]
+    R = (np.einsum("...ad,bc->...abcd", ric, g) + np.einsum("...bc,ad->...abcd", ric, g)
+         - np.einsum("...ac,bd->...abcd", ric, g) - np.einsum("...bd,ac->...abcd", ric, g))
     R += 0.5 * scal * (np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g))
     return R
 
 
 def quadratic_invariants(ric: np.ndarray):
-    """Closed-form invariants (|Riem|^2, R_abcd R^adcb) from Ricci alone."""
+    """Closed-form invariants (|Riem|^2, R_abcd R^adcb) from Ricci alone.
+
+    Floats for one (3, 3) matrix, arrays of the batch shape for (..., 3, 3).
+    """
     ric = np.asarray(ric, dtype=float)
-    ric2 = float(np.sum(ric * ric))
-    scal = float(np.trace(ric))
-    return 4.0 * ric2 - scal ** 2, 2.0 * ric2 - 0.5 * scal ** 2
+    ric2 = np.sum(ric * ric, axis=(-2, -1))
+    scal = np.trace(ric, axis1=-2, axis2=-1)
+    return (_batch_scalar(4.0 * ric2 - scal ** 2),
+            _batch_scalar(2.0 * ric2 - 0.5 * scal ** 2))
 
 
 @dataclass(frozen=True)
@@ -180,10 +208,6 @@ class CurvatureJet:
     @property
     def ric_sq(self) -> float:
         return float(np.sum(self.ric * self.ric))
-
-    @property
-    def grad_scalar(self) -> np.ndarray:
-        return np.einsum("cii->c", self.dric)
 
     @property
     def lap_scalar(self) -> float:
@@ -315,8 +339,8 @@ def _taylor_blocks(jet: CurvatureJet) -> np.ndarray:
     frame = np.stack([_BAND4.e_theta, _BAND4.e_phi], axis=1)
     # Q_ik = R_{i r k r} with r the radial direction at each node
     Q = np.einsum("ijkl,nj,nl->nik", _riemann_dense(jet.ric), x, x)
-    dRm = np.stack([_riemann_dense(d) for d in jet.dric])
-    d2Rm = np.stack([[_riemann_dense(d) for d in row] for row in jet.d2ric])
+    dRm = _riemann_dense(jet.dric)
+    d2Rm = _riemann_dense(jet.d2ric)
     pairs = (
         (Q / 3.0, np.einsum("ij,ni,nj->n", jet.ric, x, x) / 3.0),
         (np.einsum("eijkl,ne,nj,nl->nik", dRm, x, x, x) / 6.0,

@@ -48,16 +48,9 @@ def _as_batch(points) -> np.ndarray:
     return points.reshape(-1, 3)
 
 
-def fd_riemann(metric: MetricField, points, step: float = 1e-3):
-    """Riemann tensor of an ambient metric by differences.
-
-    Christoffel symbols are themselves computed from finite differences
-    of the metric callable, so the result never touches an analytic
-    gradient that closed-form code might share.  Returns a Riemann3 for a
-    point of shape (3,) and a list of them for points of shape (npts, 3).
-    """
+def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float) -> np.ndarray:
+    """Raw (npts, 3, 3, 3, 3) difference Riemann tensors at an (npts, 3) batch."""
     _check_step(step)
-    base = _as_batch(points)
     npts = base.shape[0]
     shifted = np.broadcast_to(base, (3, 4, npts, 3)).copy()  # [axis, offset]
     for a in range(3):
@@ -75,9 +68,21 @@ def fd_riemann(metric: MetricField, points, step: float = 1e-3):
     upper = (np.einsum("naebc->nabce", dgam) - np.einsum("nbeac->nabce", dgam)
              + np.einsum("neaf,nfbc->nabce", gam0, gam0)
              - np.einsum("nebf,nfac->nabce", gam0, gam0))
-    dense = np.einsum("nabce,ned->nabcd", upper, metric(base))
-    riem = [Riemann3.from_dense(d) for d in dense]
-    return riem[0] if np.ndim(points) == 1 else riem
+    return np.einsum("nabce,ned->nabcd", upper, metric(base))
+
+
+def fd_riemann(metric: MetricField, points, step: float = 1e-3):
+    """Riemann tensor of an ambient metric by differences.
+
+    Christoffel symbols are themselves computed from finite differences
+    of the metric callable, so the result never touches an analytic
+    gradient that closed-form code might share.  Returns a Riemann3 for a
+    point of shape (3,) and a list of them for points of shape (npts, 3).
+    """
+    dense = _fd_riemann_dense(metric, _as_batch(points), step)
+    if np.ndim(points) == 1:
+        return Riemann3.from_dense(dense[0])
+    return [Riemann3.from_dense(d) for d in dense]
 
 
 def fd_ricci(metric: MetricField, points, step: float = 1e-3) -> np.ndarray:
@@ -89,7 +94,7 @@ def fd_ricci(metric: MetricField, points, step: float = 1e-3) -> np.ndarray:
     a point of shape (3,) and (npts, 3, 3) for points of shape (npts, 3).
     """
     base = _as_batch(points)
-    dense = np.stack([r.dense for r in fd_riemann(metric, base, step)])
+    dense = Riemann3.from_dense(_fd_riemann_dense(metric, base, step)).dense
     ric = np.einsum("ndc,ncabd->nab", np.linalg.inv(metric(base)), dense)
     return ric[0] if np.ndim(points) == 1 else ric
 

@@ -15,7 +15,11 @@ All geodesics are integrated as a single system with scipy's DOP853, the
 II.10).  The adaptive integrator then uses one shared step sequence, which
 makes the integration error a smooth function of the initial direction;
 the spectral derivatives in angle need that smoothness, since an error
-that jumped from node to node would leak into every band.  The right-hand
+that jumped from node to node would leak into every band.  The first trial
+step is the whole radius: the embedded error estimate accepts or rejects
+it like any other step (ibid. II.4), and on small spheres one step passes,
+which saves the evaluations of scipy's initial-step heuristic and of the
+short steps it proposes.  The right-hand
 side is ``MetricField.geodesic_acceleration``, which contracts the metric
 derivatives with the velocities as component products summed in a fixed
 order, never forming the Christoffel symbols; its bits do not depend on
@@ -135,7 +139,7 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     # solve_ivp's stepping loop, keeping only the final state
     solver = None
     try:
-        solver = DOP853(rhs, 0.0, state0, tau, rtol=rtol, atol=atol)
+        solver = DOP853(rhs, 0.0, state0, tau, rtol=rtol, atol=atol, first_step=tau)
         num_steps = 1  # accepted steps plus the initial point
         while solver.status == "running":
             message = solver.step()

@@ -62,6 +62,35 @@ class DeformationParams:
         """Ambient gradient of vperp at the grid nodes; the same for every t."""
         return self.vperp.gradient()
 
+    @cached_property
+    def x_ambient(self) -> np.ndarray:
+        """Cartesian components of X at the grid nodes, (nnodes, 3)."""
+        return self.X.ambient_components()
+
+    @cached_property
+    def v_trace(self) -> np.ndarray:
+        """Boundary trace of vperp at the grid nodes."""
+        return self.vperp.trace().values
+
+    @cached_property
+    def flow_du(self) -> np.ndarray:
+        """Derivative du of the flow x -> x + t u(x) at the grid nodes, (nnodes, 3, 3).
+
+        The displacement u = f(x/|x|) x/|x| + X(x/|x|) is extended
+        homogeneous of degree zero, so its radial derivative vanishes and
+        the derivative of each Cartesian component of X is its surface
+        gradient.
+        """
+        grid, f = self.grid, self.f
+        x = grid.nodes
+        f1, f2 = f.gradient_components()
+        gradf = f1[:, None] * grid.e_theta + f2[:, None] * grid.e_phi
+        dX1, dX2 = grid.grad_synth(grid.analyze(self.x_ambient.T))
+        return (f.values[:, None, None] * (np.eye(3) - x[:, :, None] * x[:, None, :])
+                + x[:, :, None] * gradf[:, None, :]
+                + dX1.T[:, :, None] * grid.e_theta[:, None, :]
+                + dX2.T[:, :, None] * grid.e_phi[:, None, :])
+
     def widened(self, wgrid: SphereGrid) -> "DeformationParams":
         """Re-express the same parameters on a larger grid."""
         if wgrid.lmax < self.grid.lmax:
@@ -100,10 +129,7 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     """
     grid = params.grid
     x = grid.nodes
-    f, X, v = params.f, params.X, params.vperp
-
-    X_amb = X.ambient_components()
-    y = (1.0 + t * f.values)[:, None] * x + t * X_amb
+    y = (1.0 + t * params.f.values)[:, None] * x + t * params.x_ambient
     ycoef = grid.analyze(y.T)
 
     d_th, d_ph, d_thth, d_thph = (
@@ -128,23 +154,12 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     h_flat = (gpp * a_tt - 2.0 * gtp * a_tp + gtt * a_pp) / det
 
     # conformal factor on the surface and its flowed ambient gradient
-    vtrace = v.trace().values
-    rho = 1.0 + t * vtrace
+    rho = 1.0 + t * params.v_trace
     if np.min(rho) <= 0.0:
         raise ValueError("conformal factor is not positive at this t")
 
-    # Jacobian of the ambient flow x -> x + t u(x) at the sphere, where the
-    # displacement u = f(x/|x|) x/|x| + X(x/|x|) is extended homogeneous of
-    # degree zero, so its radial derivative vanishes and the derivative of
-    # each Cartesian component of X is its surface gradient.
-    f1, f2 = f.gradient_components()
-    gradf = f1[:, None] * grid.e_theta + f2[:, None] * grid.e_phi
-    dX1, dX2 = grid.grad_synth(grid.analyze(X_amb.T))
-    du = (f.values[:, None, None] * (np.eye(3) - x[:, :, None] * x[:, None, :])
-          + x[:, :, None] * gradf[:, None, :]
-          + dX1.T[:, :, None] * grid.e_theta[:, None, :]
-          + dX2.T[:, :, None] * grid.e_phi[:, None, :])
-    flow_jac = np.eye(3) + t * du
+    # Jacobian of the ambient flow x -> x + t u(x) at the sphere
+    flow_jac = np.eye(3) + t * params.flow_du
     pulled_nu = np.linalg.solve(flow_jac, nu[:, :, None])[:, :, 0]
     h_total = (rho ** (-0.5) * h_flat
                - t * rho ** (-1.5) * np.sum(pulled_nu * params.grad_v, axis=1))
@@ -257,7 +272,7 @@ def variation_check(params: DeformationParams, steps=(8e-3, 4e-3)) -> dict:
         "trace_second": float(np.max(np.abs(richardson_second(0) - tr2))),
         "h_second": float(np.max(np.abs(richardson_second(1) - h2nd))),
     }
-    report["max_discrepancy"] = max(report.values())
+    report["max_discrepancy"] = float(np.max(list(report.values())))
     return report
 
 
@@ -281,7 +296,7 @@ def conformal_probe_check(lmax: int = 8, steps=(2e-3, 1e-3)) -> dict:
     def closed(t):
         return -2.0 / np.sqrt(1.0 + t) + t * (1.0 + t) ** (-1.5)
 
-    closed_err = max(float(np.max(np.abs(h - closed(t)))) for t, h in h_at.items())
+    closed_err = float(np.max([np.max(np.abs(h - closed(t))) for t, h in h_at.items()]))
     d_h1 = (h_at[h1] - 2.0 * h_at[0.0] + h_at[-h1]) / h1 ** 2
     d_h2 = (h_at[h2] - 2.0 * h_at[0.0] + h_at[-h2]) / h2 ** 2
     second = (4.0 * d_h2 - d_h1) / 3.0

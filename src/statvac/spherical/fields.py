@@ -316,11 +316,6 @@ class SymTensorField:
         return cls(grid, ScalarField.zeros(grid), z, z)
 
     @classmethod
-    def round_metric(cls, grid: SphereGrid) -> "SymTensorField":
-        z = np.zeros(grid.nmodes)
-        return cls(grid, ScalarField.constant(grid, 2.0), z, z)
-
-    @classmethod
     def from_components(cls, grid: SphereGrid, c11: np.ndarray, c12: np.ndarray,
                         c22: np.ndarray) -> "SymTensorField":
         """Build from frame components; trace-free potentials by projection.

@@ -29,6 +29,8 @@ REMOVED = [
     ("statvac", "dirichlet_energy"),
     ("statvac.boundary", "HarmonicExterior.second_radial_trace"),
     ("statvac.oracles.geodesic", "_probe_angles"),
+    ("statvac.curvature", "CurvatureJet.grad_scalar"),
+    ("statvac.spherical.fields", "SymTensorField.round_metric"),
 ]
 
 

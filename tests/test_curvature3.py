@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statvac import curvature
 from statvac.curvature import (
@@ -70,6 +71,40 @@ def test_dense_is_built_once_and_read_only(rng):
     assert not riem.dense.flags.writeable
 
 
+def test_a_point_keeps_float_results(rng):
+    ric = rng.normal(size=(3, 3))
+    riem = riemann_from_ricci(ric + ric.T)
+    assert riem.pair_matrix.shape == (3, 3) and riem.dense.shape == (3, 3, 3, 3)
+    for value in (riem.symmetry_residual, riem.riem_sq(), riem.cross_invariant(),
+                  *quadratic_invariants(ric + ric.T)):
+        assert type(value) is float
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-3.0, 3.0))
+def test_a_batch_matches_its_points(n, seed, log_scale):
+    """Leading axes are a batch: the tensors are bitwise those of the
+    points, and the contractions agree to roundoff."""
+    ric = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3, 3)) * 10.0 ** log_scale
+    ric = 0.5 * (ric + np.swapaxes(ric, 1, 2))
+    batch = riemann_from_ricci(ric)
+    points = [riemann_from_ricci(r) for r in ric]
+    for name in ("pair_matrix", "dense", "symmetry_residual"):
+        np.testing.assert_array_equal(getattr(batch, name),
+                                      [getattr(p, name) for p in points])
+    closed = quadratic_invariants(ric)
+    pairs = [(batch.ricci(), [p.ricci() for p in points]),
+             (batch.riem_sq(), [p.riem_sq() for p in points]),
+             (batch.cross_invariant(), [p.cross_invariant() for p in points]),
+             (closed[0], [quadratic_invariants(r)[0] for r in ric]),
+             (closed[1], [quadratic_invariants(r)[1] for r in ric])]
+    for got, want in pairs:
+        want = np.asarray(want)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4e-15 * (1.0 + np.abs(want)))
+
+
 def test_jet_validation_rejects_bad_arrays():
     with pytest.raises(ValueError):
         CurvatureJet(np.zeros((3, 2)), np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)))
@@ -87,7 +122,7 @@ def test_random_jet_satisfies_identities(rng):
     for _ in range(10):
         jet = random_jet(rng)
         div_ric = np.einsum("bba->a", jet.dric)
-        np.testing.assert_allclose(div_ric, 0.5 * jet.grad_scalar, atol=1e-10)
+        np.testing.assert_allclose(div_ric, 0.5 * np.einsum("cii->c", jet.dric), atol=1e-10)
         np.testing.assert_allclose(jet.dric, np.swapaxes(jet.dric, 1, 2), atol=1e-12)
         np.testing.assert_allclose(jet.d2ric, np.swapaxes(jet.d2ric, 0, 1), atol=1e-12)
     jet = random_jet(rng, require_lap=True)

@@ -242,14 +242,6 @@ def test_one_estimate_at_lmax_48_synthesizes_nine_times(rng, synth_calls):
     assert len(synth_calls) == 9
 
 
-def test_round_metric_components(grid8):
-    g = SymTensorField.round_metric(grid8)
-    c11, c12, c22 = g.components()
-    np.testing.assert_allclose(c11, 1.0, atol=1e-13)
-    np.testing.assert_allclose(c22, 1.0, atol=1e-13)
-    assert np.max(np.abs(c12)) < 1e-13
-
-
 def test_scaled_and_shifted(grid8, rng):
     p = rng.normal(size=grid8.nmodes)
     p[grid8.ls < 2] = 0.0

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import DOP853
 
 from statvac.curvature import CurvatureJet, small_sphere_data
+from statvac.oracles import geodesic
 from statvac.oracles import (
     MetricField,
     NumericalFailure,
@@ -157,6 +158,40 @@ def test_space_form_spheres_match_the_taylor_data():
         np.testing.assert_allclose(pert.gamma1.trace.values,
                                    data.gamma1.trace.values, atol=2e-8)
         np.testing.assert_allclose(pert.H1.values, data.H1.values, atol=2e-8)
+
+
+def test_small_sphere_is_one_step_of_the_whole_radius():
+    metric = random_polynomial_metric(np.random.default_rng(0), amplitude=0.5)
+    diag = {}
+    geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.03, build_grid(12), diagnostics=diag)
+    assert diag["num_steps"] == 2  # the initial point and one accepted step
+    assert diag["nfev"] == 13  # the initial derivative and twelve stages
+
+
+def data_gap(a, b):
+    pairs = zip(a.gamma1.components() + (a.H1.values,),
+                b.gamma1.components() + (b.H1.values,))
+    return max(float(np.max(np.abs(x - y))) for x, y in pairs)
+
+
+def test_default_tolerances_track_a_tight_reference(monkeypatch):
+    """The whole-radius first step keeps the data within 3e-13 of a tight
+    integration (rtol 2.3e-14, atol 1e-17, first step tau/32) up to
+    tau 0.05, and within 2e-12 at tau 0.08."""
+    grid = build_grid(12)
+
+    def short_first_step(*args, **kwargs):
+        return DOP853(*args, **{**kwargs, "first_step": kwargs["first_step"] / 32})
+
+    for seed in range(3):
+        metric = random_polynomial_metric(np.random.default_rng(seed), amplitude=0.5)
+        for tau, bound in ((0.005, 3e-13), (0.03, 3e-13), (0.05, 3e-13), (0.08, 2e-12)):
+            data = geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(geodesic, "DOP853", short_first_step)
+                ref = geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, grid,
+                                      rtol=2.3e-14, atol=1e-17)
+            assert data_gap(data, ref) < bound, (seed, tau)
 
 
 def test_geodesic_sphere_validation():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from statvac.curvature import Riemann3
 from statvac.oracles import (
     MetricField,
     conformal_ricci,
@@ -269,7 +270,8 @@ def test_fd_ricci_batch_matches_single_points(rng):
         assert batch.shape == (5, 3, 3)
         assert relative_gap(batch, single) <= 1e-12
         riems = fd_riemann(metric, pts)
-        assert len(riems) == 5
+        assert type(riems) is list and len(riems) == 5
+        assert isinstance(fd_riemann(metric, pts[2]), Riemann3)
         assert relative_gap(riems[2].pair_matrix,
                             fd_riemann(metric, pts[2]).pair_matrix) <= 1e-12
 

@@ -1,8 +1,13 @@
 """Registry behavior of the named verification suites."""
 
+import math
+
+import numpy as np
 import pytest
 
-from statvac.oracles import SUITE_NAMES, run_all, run_suite
+from statvac import cli
+from statvac.oracles import SUITE_NAMES, run_all, run_suite, suites
+from statvac.spherical import harmonics
 
 EXPECTED_NAMES = ("moments", "multipliers", "invariants", "conformal",
                   "linearized", "flux", "variations", "boundary", "anchors",
@@ -46,3 +51,47 @@ def test_seed_changes_the_numbers_but_not_the_verdict():
     residuals_a = [c["max_residual"] for c in a["checks"].values()]
     residuals_b = [c["max_residual"] for c in b["checks"].values()]
     assert residuals_a != residuals_b
+
+
+def test_nan_residuals_fail_their_check(monkeypatch, tmp_path):
+    """A NaN residual must fail its check, not vanish into a running max."""
+    monkeypatch.setattr(suites, "fd_linearized_ricci",
+                        lambda *args, **kwargs: np.full((3, 3), np.nan))
+    report = run_suite("linearized", seed=0)
+    check = report["checks"]["linearized_ricci_fd"]
+    assert math.isnan(check["max_residual"])
+    assert not check["passed"] and not report["passed"]
+    out = tmp_path / "verify.json"
+    assert cli.main(["--mode", "verify", "--only", "linearized",
+                     "--output", str(out)]) == cli.EXIT_VERIFY
+
+
+def test_one_nan_sample_fails_the_conformal_check(monkeypatch):
+    calls = []
+    original = suites.fd_ricci
+
+    def third_is_nan(metric, point, step=1e-3):
+        calls.append(point)
+        ric = original(metric, point, step)
+        return np.full_like(ric, np.nan) if len(calls) == 3 else ric
+
+    monkeypatch.setattr(suites, "fd_ricci", third_is_nan)
+    report = run_suite("conformal", seed=0)
+    assert len(calls) == 20
+    assert math.isnan(report["checks"]["conformal_ricci_fd"]["max_residual"])
+    assert not report["passed"]
+
+
+def test_fast_multiplier_suite_builds_ten_offgrid_tables(monkeypatch):
+    """Eight for the Laplacian probes (four modes, two steps) and one per
+    step for every divdiv mode together."""
+    degrees = []
+    original = harmonics.harmonic_tables
+
+    def counted(lmax, *args, **kwargs):
+        degrees.append(lmax)
+        return original(lmax, *args, **kwargs)
+
+    monkeypatch.setattr(harmonics, "harmonic_tables", counted)
+    assert run_suite("multipliers", seed=0)["passed"]
+    assert len(degrees) == 10

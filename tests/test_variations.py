@@ -63,6 +63,19 @@ def test_variation_check_evaluates_the_exterior_gradient_once(grid8, rng, monkey
     assert calls == [None]
 
 
+def test_variation_check_builds_the_t_independent_data_once(grid8, rng, monkeypatch):
+    calls = []
+    original = TangentField.ambient_components
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TangentField, "ambient_components", counted)
+    variation_check(random_deformation(grid8, rng))
+    assert len(calls) == 1
+
+
 def test_first_variation_is_linear_in_the_parameters(grid8, rng):
     pa = random_deformation(grid8, rng)
     pb = random_deformation(grid8, rng)
