@@ -25,6 +25,7 @@ from .sphere_variation import (
     DeformationParams,
     conformal_probe_check,
     deformed_sphere_geometry,
+    embedded_sphere_geometry,
     first_variation,
     mass_variation_identity,
     random_deformation,
@@ -45,6 +46,7 @@ __all__ = [
     "DeformationParams",
     "random_deformation",
     "deformed_sphere_geometry",
+    "embedded_sphere_geometry",
     "first_variation",
     "second_variation",
     "variation_check",

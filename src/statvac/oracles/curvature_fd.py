@@ -48,8 +48,9 @@ def _as_batch(points) -> np.ndarray:
     return points.reshape(-1, 3)
 
 
-def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float) -> np.ndarray:
-    """Raw (npts, 3, 3, 3, 3) difference Riemann tensors at an (npts, 3) batch."""
+def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float):
+    """Raw (npts, 3, 3, 3, 3) difference Riemann tensors at an (npts, 3)
+    batch, and the metric there, which lowered their last slot."""
     _check_step(step)
     npts = base.shape[0]
     shifted = np.broadcast_to(base, (3, 4, npts, 3)).copy()  # [axis, offset]
@@ -68,7 +69,8 @@ def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float) -> np.
     upper = (np.einsum("naebc->nabce", dgam) - np.einsum("nbeac->nabce", dgam)
              + np.einsum("neaf,nfbc->nabce", gam0, gam0)
              - np.einsum("nebf,nfac->nabce", gam0, gam0))
-    return np.einsum("nabce,ned->nabcd", upper, metric(base))
+    g = metric(base)
+    return np.einsum("nabce,ned->nabcd", upper, g), g
 
 
 def fd_riemann(metric: MetricField, points, step: float = 1e-3):
@@ -79,7 +81,7 @@ def fd_riemann(metric: MetricField, points, step: float = 1e-3):
     gradient that closed-form code might share.  Returns a Riemann3 for a
     point of shape (3,) and a list of them for points of shape (npts, 3).
     """
-    dense = _fd_riemann_dense(metric, _as_batch(points), step)
+    dense, _ = _fd_riemann_dense(metric, _as_batch(points), step)
     if np.ndim(points) == 1:
         return Riemann3.from_dense(dense[0])
     return [Riemann3.from_dense(d) for d in dense]
@@ -93,9 +95,9 @@ def fd_ricci(metric: MetricField, points, step: float = 1e-3) -> np.ndarray:
     wrong wherever g differs from the identity.  Returns shape (3, 3) for
     a point of shape (3,) and (npts, 3, 3) for points of shape (npts, 3).
     """
-    base = _as_batch(points)
-    dense = Riemann3.from_dense(_fd_riemann_dense(metric, base, step)).dense
-    ric = np.einsum("ndc,ncabd->nab", np.linalg.inv(metric(base)), dense)
+    dense, g = _fd_riemann_dense(metric, _as_batch(points), step)
+    dense = Riemann3.from_dense(dense).dense
+    ric = np.einsum("ndc,ncabd->nab", np.linalg.inv(g), dense)
     return ric[0] if np.ndim(points) == 1 else ric
 
 

@@ -3,12 +3,12 @@
 Independent check on the small-sphere Taylor data.  The geodesic equation
 is integrated from a center point along one direction per grid node to
 arc length tau.  The endpoints are expanded in spherical harmonics on the
-same grid; the angular derivatives of that expansion are the tangents of
-the sphere, which give its induced metric, and the mean curvature is the
-first variation of area under a unit-normal perturbation, whose angular
-derivatives come from the same expansion.  Nothing here touches the
-curvature-jet pipeline, so agreement of the two data sets to fifth order
-in tau is a meaningful regression target.
+same grid, and ``embedded_sphere_geometry`` reads the induced metric and
+the mean curvature from that expansion, with the metric and its gradient
+at the endpoints: the angular derivatives of the expansion are the
+tangents, and its second derivatives enter the second fundamental form.
+Nothing here touches the curvature-jet pipeline, so agreement of the two
+data sets to fifth order in tau is a meaningful regression target.
 
 All geodesics are integrated as a single system with scipy's DOP853, the
 8th-order Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -37,6 +37,7 @@ from ..spherical.fields import ScalarField, SymTensorField
 from ..spherical.grid import SphereGrid
 from .curvature_fd import fd_ricci
 from .metricfield import _D1_OFFSETS, _D1_WEIGHTS, _D2_OFFSETS, _D2_WEIGHTS, MetricField
+from .sphere_variation import NumericalFailure, embedded_sphere_geometry
 
 __all__ = [
     "NumericalFailure",
@@ -44,10 +45,6 @@ __all__ = [
     "jet_from_metric",
     "space_form_reference",
 ]
-
-
-class NumericalFailure(RuntimeError):
-    """An oracle integration failed to reach its accuracy target."""
 
 
 def space_form_reference(k: float, tau: float):
@@ -78,9 +75,11 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     """Sample the geodesic sphere of radius tau and return its data offsets.
 
     One geodesic per grid node is integrated to arc length tau.  The
-    endpoints are expanded in spherical harmonics; the tangents of that
-    expansion give the induced metric and, with the spectral derivatives
-    of the unit normal, the mean curvature.
+    endpoints are expanded in spherical harmonics, and
+    ``embedded_sphere_geometry`` reads the induced metric and the mean
+    curvature from that expansion.  A node whose normal does not point
+    along its geodesic, g(nu, v) <= 0, raises NumericalFailure; below the
+    conjugate radius none does.
 
     Parameters
     ----------
@@ -159,57 +158,21 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     v_end = state[3 * n:].reshape(n, 3)
 
     gy = metric(y0)
-
-    def pair(u, w):
-        return np.einsum("na,nab,nb->n", u, gy, w)
-
-    # spectral tangents of the embedding
     ycoef = grid.analyze(y0.T)
-    y_th = grid.synth("dYdtheta", ycoef).T
-    y_ph = grid.synth("dYdphi", ycoef).T
-
-    n_cov = np.cross(y_th, y_ph)
-    ginv = np.linalg.inv(gy)
-    n_up = np.einsum("nab,nb->na", ginv, n_cov)
-    norm = np.einsum("na,na->n", n_cov, n_up)
-    if np.any(norm <= 0.0):
-        raise NumericalFailure("degenerate surface normal")
-    nu = n_up / np.sqrt(norm)[:, None]
-    orient = np.sign(pair(nu, v_end))
-    if np.any(orient == 0.0):
+    (s11, s12, s22), h, det, nu = embedded_sphere_geometry(
+        grid, ycoef, gy, metric.gradient(y0))
+    if not np.all(np.einsum("na,nab,nb->n", nu, gy, v_end) > 0.0):
         raise NumericalFailure("surface normal orthogonal to the geodesic")
-    nu = nu * orient[:, None]
-
-    nucoef = grid.analyze(nu.T)
-    nu_th = grid.synth("dYdtheta", nucoef).T
-    nu_ph = grid.synth("dYdphi", nucoef).T
-
-    dg_nu = np.einsum("ncab,nc->nab", metric.gradient(y0), nu)
-
-    def warp(u, w):
-        return np.einsum("nab,na,nb->n", dg_nu, u, w)
-
-    area_tt = 2.0 * pair(nu_th, y_th) + warp(y_th, y_th)
-    area_tp = pair(nu_th, y_ph) + pair(nu_ph, y_th) + warp(y_th, y_ph)
-    area_pp = 2.0 * pair(nu_ph, y_ph) + warp(y_ph, y_ph)
-
-    s_tt = pair(y_th, y_th)
-    s_tp = pair(y_th, y_ph)
-    s_pp = pair(y_ph, y_ph)
-    det = s_tt * s_pp - s_tp ** 2
-    if np.any(det <= 0.0):
-        raise NumericalFailure("degenerate induced metric")
-    expansion = 0.5 * (s_pp * area_tt - 2.0 * s_tp * area_tp
-                       + s_tt * area_pp) / det
-    h_offset = 2.0 - tau * expansion
 
     scale = tau ** 2
-    c11 = s_tt / scale - 1.0
-    c12 = s_tp / scale / grid.sin_theta
-    c22 = s_pp / scale / grid.sin_theta ** 2 - 1.0
+    c11 = s11 / scale - 1.0
+    c12 = s12 / scale
+    c22 = s22 / scale - 1.0
+    h_offset = 2.0 + tau * h
 
     if diagnostics is not None:
-        diagnostics["speed_drift"] = float(np.max(np.abs(pair(v_end, v_end) - 1.0)))
+        speed_sq = np.einsum("na,nab,nb->n", v_end, gy, v_end)
+        diagnostics["speed_drift"] = float(np.max(np.abs(speed_sq - 1.0)))
         diagnostics["spectral_tail"] = float(np.linalg.norm(
             ycoef[:, grid.ls == grid.lmax]))
         diagnostics["min_det"] = float(np.min(det))

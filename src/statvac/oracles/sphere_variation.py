@@ -1,4 +1,8 @@
-"""Deformed-sphere geometry oracle and variation checks.
+"""Embedded-sphere geometry, the deformed-sphere oracle and variation checks.
+
+``embedded_sphere_geometry`` is the one routine that reads the induced
+metric and mean curvature of a sphere in an ambient 3-metric; the geodesic
+spheres, the deformed spheres below and the flux identity all use it.
 
 The deformation family couples a shape change with a conformal change of
 the ambient metric.  For parameters (f, X, v),
@@ -8,13 +12,12 @@ the ambient metric.  For parameters (f, X, v),
 embeds the unit sphere into R^3, and the ambient metric is rho_t * delta
 with the conformal factor carried along the flow of the deformation, so
 that its value on the deformed surface is 1 + t v(x) with v the boundary
-trace of the decaying harmonic function.  The induced metric and mean
-curvature are computed from first principles (spectral derivatives of the
-embedding, cross-product normal, second fundamental form, and the
-conformal rescaling rule for mean curvature of a surface in a 3-manifold)
-and differentiated in t by Richardson-extrapolated central differences.
-The closed-form first and second t-derivatives that the mass expansion
-relies on are compared against those differences.
+trace of the decaying harmonic function, and its gradient there is the
+gradient of v pulled through the inverse flow.  The induced metric and
+mean curvature of y_t in that metric are differentiated in t by
+Richardson-extrapolated central differences, and the closed-form first and
+second t-derivatives that the mass expansion relies on are compared
+against those differences.
 
 Sign convention: the round unit sphere has mean curvature -2, and the
 normal points toward the unbounded component.
@@ -31,9 +34,11 @@ from ..boundary import HarmonicExterior
 from ..spherical import operators
 from ..spherical.fields import ScalarField, SymTensorField, TangentField
 from ..spherical.grid import SphereGrid, build_grid
-from .metricfield import fd_gradient
+from .metricfield import _inverse3, fd_gradient
 
 __all__ = [
+    "NumericalFailure",
+    "embedded_sphere_geometry",
     "DeformationParams",
     "random_deformation",
     "deformed_sphere_geometry",
@@ -43,6 +48,74 @@ __all__ = [
     "conformal_probe_check",
     "mass_variation_identity",
 ]
+
+
+class NumericalFailure(RuntimeError):
+    """An oracle integration failed to reach its accuracy target, or the
+    surface it produced is degenerate."""
+
+
+def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
+                             g: np.ndarray, dg: np.ndarray):
+    """Induced metric and mean curvature of an embedded sphere.
+
+    ycoef (3, nmodes) holds the harmonic coefficients of the embedding's
+    Cartesian components y^c, whose tangents and second derivatives are
+    taken spectrally on ``grid``; g (nnodes, 3, 3) is the ambient metric at
+    the embedded nodes and dg (nnodes, 3, 3, 3) its gradient,
+    dg[n, c, a, b] = d_c g_ab.
+
+    Returns ((c11, c12, c22), h, det, nu): the induced metric in the
+    orthonormal frame of the round sphere, the mean curvature, the induced
+    metric's determinant in (theta, phi) and the unit normal (nnodes, 3).
+    nu is y_theta x y_phi raised by g and normalized, outward on an
+    embedding that keeps the unit sphere's orientation.  h is the trace of
+    the second fundamental form nu_c (d_a d_b y^c + Gamma^c_de d_a y^d d_b y^e),
+    whose Christoffel term is contracted from dg without forming the
+    symbols; it is -2 on the round unit sphere.  A degenerate induced
+    metric or normal raises NumericalFailure.
+    """
+    # component-major, nodes last, as in MetricField.christoffel
+    d_th, d_ph, d_thth, d_thph = (
+        grid.synth(table, ycoef)
+        for table in ("dYdtheta", "dYdphi", "d2Ydtheta2", "d2Ydthetadphi"))
+    d_phph = grid.synthesize(grid.dphi_coeffs(grid.dphi_coeffs(ycoef)))
+    g = np.ascontiguousarray(g.transpose(1, 2, 0))
+    dg = np.ascontiguousarray(dg.transpose(1, 2, 3, 0))
+
+    def lower(mat, w):  # mat[a, b] w^b
+        return mat[:, 0] * w[0] + mat[:, 1] * w[1] + mat[:, 2] * w[2]
+
+    def dot(u, w):
+        return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+    g_th, g_ph = lower(g, d_th), lower(g, d_ph)
+    s_tt, s_tp, s_pp = dot(d_th, g_th), dot(d_th, g_ph), dot(d_ph, g_ph)
+    det = s_tt * s_pp - s_tp * s_tp
+    if not np.all(det > 0.0):
+        raise NumericalFailure("degenerate induced metric")
+
+    # the cross product annihilates both tangents: a conormal
+    n_cov = np.cross(d_th, d_ph, axis=0)
+    n_up = lower(_inverse3(g), n_cov)
+    norm = dot(n_cov, n_up)
+    if not np.all(norm > 0.0):
+        raise NumericalFailure("degenerate surface normal")
+    root = np.sqrt(norm)
+    nu, nu_cov = n_up / root, n_cov / root
+
+    # nu_c Gamma^c_de u^d w^e = u^T s w with s = (q + q^T - r) / 2,
+    # q[c, b] = d_c g_bf nu^f and r[a, b] = nu^f d_f g_ab
+    q = lower(dg, nu)
+    r = nu[0] * dg[0] + nu[1] * dg[1] + nu[2] * dg[2]
+    s = 0.5 * (q + q.transpose(1, 0, 2) - r)
+    a_tt = dot(nu_cov, d_thth) + dot(d_th, lower(s, d_th))
+    a_tp = dot(nu_cov, d_thph) + dot(d_th, lower(s, d_ph))
+    a_pp = dot(nu_cov, d_phph) + dot(d_ph, lower(s, d_ph))
+    h = (s_pp * a_tt - 2.0 * s_tp * a_tp + s_tt * a_pp) / det
+
+    st = grid.sin_theta
+    return (s_tt, s_tp / st, s_pp / (st * st)), h, det, nu.T
 
 
 @dataclass(frozen=True)
@@ -128,48 +201,28 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     embedding components are differentiated spectrally.
     """
     grid = params.grid
-    x = grid.nodes
-    y = (1.0 + t * params.f.values)[:, None] * x + t * params.x_ambient
-    ycoef = grid.analyze(y.T)
-
-    d_th, d_ph, d_thth, d_thph = (
-        grid.synth(table, ycoef).T
-        for table in ("dYdtheta", "dYdphi", "d2Ydtheta2", "d2Ydthetadphi"))
-    d_phph = grid.synthesize(grid.dphi_coeffs(grid.dphi_coeffs(ycoef))).T
-
-    gtt = np.sum(d_th * d_th, axis=1)
-    gtp = np.sum(d_th * d_ph, axis=1)
-    gpp = np.sum(d_ph * d_ph, axis=1)
-    det = gtt * gpp - gtp * gtp
-    if np.min(det) <= 0.0:
-        raise ValueError("deformed surface is degenerate at this t")
-
-    normal = np.cross(d_th, d_ph)
-    jac = np.linalg.norm(normal, axis=1)
-    nu = normal / jac[:, None]
-
-    a_tt = np.sum(nu * d_thth, axis=1)
-    a_tp = np.sum(nu * d_thph, axis=1)
-    a_pp = np.sum(nu * d_phph, axis=1)
-    h_flat = (gpp * a_tt - 2.0 * gtp * a_tp + gtt * a_pp) / det
-
-    # conformal factor on the surface and its flowed ambient gradient
+    y = (1.0 + t * params.f.values)[:, None] * grid.nodes + t * params.x_ambient
     rho = 1.0 + t * params.v_trace
-    if np.min(rho) <= 0.0:
+    if not np.all(rho > 0.0):
         raise ValueError("conformal factor is not positive at this t")
-
-    # Jacobian of the ambient flow x -> x + t u(x) at the sphere
-    flow_jac = np.eye(3) + t * params.flow_du
-    pulled_nu = np.linalg.solve(flow_jac, nu[:, :, None])[:, :, 0]
-    h_total = (rho ** (-0.5) * h_flat
-               - t * rho ** (-1.5) * np.sum(pulled_nu * params.grad_v, axis=1))
-
-    st = grid.sin_theta
-    c11 = rho * gtt
-    c12 = rho * gtp / st
-    c22 = rho * gpp / (st * st)
+    eye = np.eye(3)
+    try:
+        # the flowed conformal factor's gradient is t (D flow)^-T grad v; a
+        # surface that collapses makes the flow Jacobian singular as well
+        jac_inv = _inverse3(eye[:, :, None] + t * params.flow_du.transpose(1, 2, 0))
+        grad_v = params.grad_v.T
+        drho = t * (jac_inv[0] * grad_v[0] + jac_inv[1] * grad_v[1]
+                    + jac_inv[2] * grad_v[2])
+        # built component-major, nodes last, which is the layout the
+        # geometry works in, and handed over as transposed views
+        g = rho * eye[:, :, None]
+        dg = drho[:, None, None] * eye[:, :, None]
+        (c11, c12, c22), h, _, _ = embedded_sphere_geometry(
+            grid, grid.analyze(y.T), g.transpose(2, 0, 1), dg.transpose(3, 0, 1, 2))
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        raise ValueError("deformed surface is degenerate at this t") from exc
     gamma = SymTensorField.from_components(grid, c11, c12, c22)
-    return gamma, ScalarField.from_values(grid, h_total)
+    return gamma, ScalarField.from_values(grid, h)
 
 
 def first_variation(params: DeformationParams):
@@ -318,45 +371,14 @@ def mass_variation_identity(gdot_fun, grid: SphereGrid, t_step: float = 1e-3,
     finite differences of gdot.  Both sides use the outward normal.
     """
     grid_x = grid.nodes
-    # gdot and its gradient do not depend on t
+    # gdot, its gradient and the embedding's coefficients do not depend on t
     gdot = np.asarray(gdot_fun(grid_x))
     dgdot = fd_gradient(gdot_fun, grid_x, x_step)
+    ycoef = grid.analyze(grid_x.T)
 
     def h_values(t):
-        g = np.eye(3) + t * gdot
-        ginv = np.linalg.inv(g)
-        dg = t * dgdot
-        bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
-                   - np.einsum("ndab->nabd", dg))
-        gam = 0.5 * np.einsum("ncd,nabd->ncab", ginv, bracket)
-
-        e1, e2, x = grid.e_theta, grid.e_phi, grid_x
-        st, ct = grid.sin_theta, grid.cos_theta
-        # coordinate tangents and second derivatives of the round embedding
-        d_th = e1
-        d_ph = st[:, None] * e2
-        dd_tt = -x
-        dd_tp = ct[:, None] * e2
-        dd_pp = -st[:, None] * (st[:, None] * x + ct[:, None] * e1)
-
-        # unit conormal: the covector x_a annihilates both tangents
-        nraise = np.einsum("nab,nb->na", ginv, x)
-        nu_norm = np.sqrt(np.einsum("na,na->n", x, nraise))
-        nu_cov = x / nu_norm[:, None]
-
-        def second_form(dd, ta, tb):
-            christ = np.einsum("ncab,na,nb->nc", gam, ta, tb)
-            return np.einsum("nc,nc->n", dd + christ, nu_cov)
-
-        a_tt = second_form(dd_tt, d_th, d_th)
-        a_tp = second_form(dd_tp, d_th, d_ph)
-        a_pp = second_form(dd_pp, d_ph, d_ph)
-
-        gtt = np.einsum("nab,na,nb->n", g, d_th, d_th)
-        gtp = np.einsum("nab,na,nb->n", g, d_th, d_ph)
-        gpp = np.einsum("nab,na,nb->n", g, d_ph, d_ph)
-        det = gtt * gpp - gtp * gtp
-        return (gpp * a_tt - 2.0 * gtp * a_tp + gtt * a_pp) / det
+        return embedded_sphere_geometry(grid, ycoef, np.eye(3) + t * gdot,
+                                        t * dgdot)[1]
 
     d_h1 = (h_values(t_step) - h_values(-t_step)) / (2.0 * t_step)
     d_h2 = (h_values(0.5 * t_step) - h_values(-0.5 * t_step)) / t_step

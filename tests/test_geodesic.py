@@ -268,6 +268,20 @@ def test_metric_singular_along_a_probe_is_a_numerical_failure():
                               "singular or non-finite metric")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g_outside, message", [
+    (np.diag([1.0, 1.0, -1.0]), "degenerate induced metric"),
+    (-np.eye(3), "degenerate surface normal"),
+])
+def test_degenerate_sphere_is_a_numerical_failure(g_outside, message):
+    """Geodesics run straight where the gradient vanishes, so they end on
+    the flat sphere of radius 0.1; the metric there makes its induced
+    metric indefinite, or leaves it definite but the normal null."""
+    metric = metric_beyond(0.05, g_outside, 0.0)
+    with pytest.raises(NumericalFailure, match=message):
+        geodesic_sphere(metric, (0.0, 0.0, 0.0), 0.1, build_grid(4))
+
+
 def test_jet_from_metric_on_a_space_form():
     k = 0.5
     jet = jet_from_metric(MetricField.space_form(k), (0.0, 0.0, 0.0))

@@ -259,6 +259,24 @@ def test_christoffel_rejects_singular_metrics(g):
         metric.christoffel(pts)
 
 
+def test_fd_ricci_evaluates_the_metric_at_its_points_once(rng, monkeypatch):
+    """The metric that lowers the Riemann tensor also raises it for Ricci:
+    one call for the Christoffel stencils, one for their centers and base
+    points, one for the base points."""
+    widths = []
+    original = MetricField.__call__
+
+    def counted(self, points):
+        widths.append(np.atleast_2d(points).shape[0])
+        return original(self, points)
+
+    metric = random_polynomial_metric(rng, amplitude=0.4)
+    pts = rng.uniform(-0.3, 0.3, size=(5, 3))
+    monkeypatch.setattr(MetricField, "__call__", counted)
+    fd_ricci(metric, pts)
+    assert widths == [780, 65, 5]
+
+
 def test_fd_ricci_batch_matches_single_points(rng):
     def rho(pts):
         return 1.0 + 0.3 * pts[:, 0] + np.sum(pts * pts, axis=1) * 0.2

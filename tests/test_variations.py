@@ -7,6 +7,7 @@ from statvac.boundary import HarmonicExterior
 from statvac.oracles import sphere_variation
 from statvac.oracles import (
     DeformationParams,
+    NumericalFailure,
     conformal_probe_check,
     deformed_sphere_geometry,
     first_variation,
@@ -124,15 +125,18 @@ def test_widened_params_keep_the_variation(grid8, rng):
         params.widened(build_grid(6))
 
 
+@pytest.mark.filterwarnings("error")
 def test_degenerate_surface_raises(grid8):
+    """f = -1 at t = 1 collapses the sphere to a point: every tangent is 0."""
     params = constant_params(grid8, f_const=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="deformed surface is degenerate at this t"):
         deformed_sphere_geometry(params, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonpositive_conformal_factor_raises(grid8):
     params = constant_params(grid8, v_const=-1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conformal factor is not positive at this t"):
         deformed_sphere_geometry(params, 1.0)
 
 
@@ -183,3 +187,13 @@ def test_mass_variation_identity_on_linear_perturbations(grid12, rng):
 
         report = mass_variation_identity(gdot_fun, grid12)
         assert report["difference"] < 1e-8 * (1.0 + abs(report["rhs"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_mass_variation_identity_rejects_an_indefinite_metric(grid12):
+    """At t = 1e-3 this gdot makes g = diag(1, 1, -1), in which the unit
+    sphere's induced metric is indefinite near the equator."""
+    with pytest.raises(NumericalFailure, match="degenerate induced metric"):
+        mass_variation_identity(
+            lambda pts: np.broadcast_to(np.diag([0.0, 0.0, -2000.0]),
+                                        (pts.shape[0], 3, 3)), grid12)
