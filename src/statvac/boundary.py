@@ -79,59 +79,16 @@ class HarmonicExterior:
         radial = r[None, :] ** (-(self.grid.ls + 1.0))[:, None]
         return self.coeffs @ (Y * radial)
 
-    def gradient(self, points: np.ndarray | None = None) -> np.ndarray:
-        """Ambient gradient, shape (npts, 3).
+    def gradient(self) -> np.ndarray:
+        """Ambient gradient at the grid nodes, shape (nnodes, 3).
 
-        Without points it is taken at the grid nodes through the grid
-        transforms: the radial trace along the normal plus the surface
-        gradient of the boundary trace.  Explicit points outside the origin
-        go through the dense off-grid (modes x points) tables.
+        Taken through the grid transforms: the radial trace along the
+        normal plus the surface gradient of the boundary trace.
         """
-        if points is None:
-            g = self.grid
-            g1, g2 = g.grad_synth(self.coeffs)
-            return (self.radial_trace().values[:, None] * g.nodes
-                    + g1[:, None] * g.e_theta + g2[:, None] * g.e_phi)
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(points, axis=1)
-        theta, phi = harmonics.angles_from_directions(points)
-        Y, dY = harmonics.harmonic_tables(self.grid.lmax, theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        rhat = np.stack([st * cp, st * sp, ct], axis=1)
-        that = np.stack([ct * cp, ct * sp, -st], axis=1)
-        phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
-        ls = self.grid.ls.astype(float)
-        rpow = r[None, :] ** (-(ls + 2.0))[:, None]
-        radial_part = self.coeffs @ (-(ls + 1.0)[:, None] * Y * rpow)
-        theta_part = self.coeffs @ (dY * rpow)
-        axis = st < 1e-12
-        safe_st = np.where(axis, 1e-12, st)
-        # rpow depends only on l, so d/dphi moves onto the coefficients
-        phi_part = self.grid.dphi_coeffs(self.coeffs) @ (Y * rpow) / safe_st
-        out = (radial_part[:, None] * rhat + theta_part[:, None] * that
-               + phi_part[:, None] * phat)
-        if np.any(axis):
-            out[axis] = radial_part[axis, None] * rhat[axis] + self._axis_tangential(
-                rpow[:, axis], ct[axis] > 0.0)
-        return out
-
-    def _axis_tangential(self, rpow: np.ndarray, north: np.ndarray) -> np.ndarray:
-        """Tangential gradient on the z-axis, shape (npts, 3).
-
-        There only the |m| = 1 modes have one: sqrt(2) N_l^1 / sin(theta)
-        tends to sqrt((2l+1) l(l+1) / 2pi) / 2 at theta = 0 and to
-        (-1)^(l+1) times that at theta = pi, along x for m = 1 and along y
-        for m = -1.
-        """
-        l = np.arange(1, self.grid.lmax + 1)
-        limit = np.sqrt((2.0 * l + 1.0) * l * (l + 1.0) / (2.0 * np.pi)) / 2.0
-        limit = limit * np.where(north[:, None], 1.0, (-1.0) ** (l + 1))
-        centre = l * l + l
-        out = np.zeros((north.size, 3))
-        out[:, 0] = (limit * rpow[centre + 1].T) @ self.coeffs[centre + 1]
-        out[:, 1] = (limit * rpow[centre - 1].T) @ self.coeffs[centre - 1]
-        return out
+        g = self.grid
+        g1, g2 = g.grad_synth(self.coeffs)
+        return (self.radial_trace().values[:, None] * g.nodes
+                + g1[:, None] * g.e_theta + g2[:, None] * g.e_phi)
 
     def dirichlet_energy(self) -> float:
         """Exterior energy integral of |grad v|^2, mode-wise (l+1) d_lm^2."""

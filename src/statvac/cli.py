@@ -269,9 +269,12 @@ def _dispatch(config: RunConfig) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise io.SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -283,19 +286,19 @@ def main(argv=None) -> int:
                        output=args.output, format=args.format,
                        seed=args.seed, only=only)
     try:
-        _check_config(config)
-        text = _dispatch(config)
+        try:
+            _check_config(config)
+            code, text = EXIT_OK, _dispatch(config)
+        except _Outcome as outcome:
+            code, text = outcome.code, outcome.text
+        _write(config.output, text)
     except io.SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_SCHEMA
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_VERIFY
-    except _Outcome as outcome:
-        _write(config.output, outcome.text)
-        return outcome.code
-    _write(config.output, text)
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .geodesic import (
     jet_from_metric,
     space_form_reference,
 )
-from .metricfield import MetricField, fd_gradient, random_polynomial_metric
+from .metricfield import MetricField, fd_jet, random_polynomial_metric, richardson
 from .sphere_variation import (
     DeformationParams,
     conformal_probe_check,
@@ -36,7 +36,8 @@ from .suites import SUITE_NAMES, random_data, run_all, run_suite
 
 __all__ = [
     "MetricField",
-    "fd_gradient",
+    "fd_jet",
+    "richardson",
     "random_polynomial_metric",
     "fd_riemann",
     "fd_ricci",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..curvature import Riemann3
-from .metricfield import MetricField, _D1_OFFSETS, _D1_WEIGHTS
+from .metricfield import MetricField, fd_jet
 
 __all__ = [
     "fd_riemann",
@@ -52,18 +52,9 @@ def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float):
     """Raw (npts, 3, 3, 3, 3) difference Riemann tensors at an (npts, 3)
     batch, and the metric there, which lowered their last slot."""
     _check_step(step)
-    npts = base.shape[0]
-    shifted = np.broadcast_to(base, (3, 4, npts, 3)).copy()  # [axis, offset]
-    for a in range(3):
-        shifted[a, :, :, a] += _D1_OFFSETS[:, None] * step
-    gam = metric.christoffel(np.concatenate([base, shifted.reshape(-1, 3)]),
-                             step=step, force_fd=True)
-    gam0 = gam[:npts]
-    gam_shifted = gam[npts:].reshape(3, 4, npts, 3, 3, 3)
-    dgam = np.zeros((npts, 3, 3, 3, 3))  # [n, a, c, b, d] = d_a Gamma^c_bd
-    for a in range(3):
-        dgam[:, a] = sum(wgt * gam_shifted[a, k]
-                         for k, wgt in enumerate(_D1_WEIGHTS)) / step
+    # dgam[n, a, c, b, d] = d_a Gamma^c_bd
+    gam0, dgam = fd_jet(lambda pts: metric.christoffel(pts, step=step, force_fd=True),
+                        base, step)
 
     # R_ab c^e then lower the last slot with g.
     upper = (np.einsum("naebc->nabce", dgam) - np.einsum("nbeac->nabce", dgam)

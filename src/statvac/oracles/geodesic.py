@@ -36,7 +36,7 @@ from ..curvature import CurvatureJet, jet_from_arrays
 from ..spherical.fields import ScalarField, SymTensorField
 from ..spherical.grid import SphereGrid
 from .curvature_fd import fd_ricci
-from .metricfield import _D1_OFFSETS, _D1_WEIGHTS, _D2_OFFSETS, _D2_WEIGHTS, MetricField
+from .metricfield import MetricField, fd_jet
 from .sphere_variation import NumericalFailure, embedded_sphere_geometry
 
 __all__ = [
@@ -199,48 +199,17 @@ def jet_from_metric(metric: MetricField, center, *, step: float = 0.025,
     squared; both sit near 1e-6 on unit-scale metrics.
     """
     center = np.asarray(center, dtype=float).reshape(3)
-    gam0 = metric.christoffel(center[None])[0]
+    gam0, dgam = fd_jet(metric.christoffel, center, step)
     if np.max(np.abs(gam0)) > 1e-8:
         raise ValueError("jet extraction needs a center where the metric "
                          "first derivatives vanish")
 
-    # every stencil offset, in units of step, evaluated in one batch
-    eye = np.eye(3)
-    axis_offsets = [off * eye[c] for c in range(3) for off in _D2_OFFSETS]
-    pairs = [(c, d) for c in range(3) for d in range(c + 1, 3)]
-    mixed_offsets = [oi * eye[c] + oj * eye[d] for c, d in pairs
-                     for oi in _D1_OFFSETS for oj in _D1_OFFSETS]
-    index = {}
-    for off in axis_offsets + mixed_offsets:
-        index.setdefault(tuple(off), len(index))
-    ric_all = fd_ricci(metric, center + step * np.array(list(index)), step=curv_step)
-
-    def ric_at(off):
-        return ric_all[index[tuple(off)]]
-
-    ric0 = ric_at(np.zeros(3))
-
-    d1 = tuple(zip(_D1_WEIGHTS, _D1_OFFSETS))
-    dric = np.zeros((3, 3, 3))
-    for c in range(3):
-        dric[c] = sum(w * ric_at(off * eye[c]) for w, off in d1) / step
-
-    d2 = np.zeros((3, 3, 3, 3))
-    for c in range(3):
-        d2[c, c] = sum(w * ric_at(off * eye[c])
-                       for w, off in zip(_D2_WEIGHTS, _D2_OFFSETS)) / step ** 2
-    for c, d in pairs:
-        acc = sum(wi * wj * ric_at(oi * eye[c] + oj * eye[d])
-                  for wi, oi in d1 for wj, oj in d1)
-        d2[c, d] = d2[d, c] = acc / step ** 2
+    ric0, dric, d2 = fd_jet(lambda pts: fd_ricci(metric, pts, step=curv_step),
+                            center, step, order=2)
+    ric0, dric, d2, dgam = ric0[0], dric[0], d2[0], dgam[0]
 
     # partial -> covariant correction at second order: with vanishing
     # Christoffel symbols at the center only their first derivatives enter.
-    axis_points = center + step * (_D1_OFFSETS[None, :, None] * eye[:, None, :])
-    gam = metric.christoffel(axis_points.reshape(-1, 3)).reshape(3, 4, 3, 3, 3)
-    dgam = np.zeros((3, 3, 3, 3))
-    for dax in range(3):
-        dgam[dax] = sum(w * gam[dax, k] for k, w in enumerate(_D1_WEIGHTS)) / step
     d2 -= np.einsum("deca,eb->dcab", dgam, ric0)
     d2 -= np.einsum("decb,ae->dcab", dgam, ric0)
 

@@ -27,15 +27,15 @@ import numpy as np
 
 __all__ = [
     "MetricField",
-    "fd_gradient",
+    "fd_jet",
     "random_polynomial_metric",
+    "richardson",
 ]
 
 # 4th-order central difference weights at offsets (-2, -1, 1, 2) * h
 _D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 # 4th-order central second-difference weights at offsets (-2, ..., 2) * h
-_D2_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 # flat rows a*3 + b with a <= b of a symmetric 3x3 index pair, and the
@@ -44,34 +44,48 @@ _SYM_ROWS = np.array([0, 1, 2, 4, 5, 8])
 _SYM_GATHER = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
-def fd_gradient(fun, points: np.ndarray, step: float) -> np.ndarray:
-    """4th-order partial derivatives of a pointwise array-valued callable.
+def fd_jet(fun, points: np.ndarray, step: float, order: int = 1):
+    """Value and 4th-order central-difference derivatives of a pointwise callable.
 
-    All twelve shifted copies of the points go to ``fun`` in one call.
-
-    Parameters
-    ----------
-    fun : callable
-        Maps (npts, 3) points to (npts, ...) values.
-    points : ndarray, shape (npts, 3)
-    step : float
-
-    Returns
-    -------
-    ndarray, shape (npts, 3, ...)
-        Derivative along each coordinate axis.
+    ``fun`` maps (npts, 3) points to (npts, ...) values, each point's value
+    independent of the batch, and is called once: on the points, their
+    copies at (-2, -1, 1, 2) * step along each axis and, for ``order`` 2
+    (the other value is 1), at those offsets along each pair of axes
+    jointly; 13 evaluations per point, or 61 for order 2.
+    Returns (value, gradient) or (value, gradient, hessian), shaped
+    (npts, ...), (npts, 3, ...) and (npts, 3, 3, ...).  The weights are
+    Fornberg's (Math. Comp. 51, 1988): D1 for the gradient, D2 with the
+    shared centre on the Hessian diagonal and D1 x D1 off it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = points.shape[0]
-    shifted = np.broadcast_to(points, (3, 4, npts, 3)).copy()  # [axis, offset]
+    eye = np.eye(3)
+    pairs = [(c, d) for c in range(3) for d in range(c + 1, 3)] if order == 2 else []
+    offsets = ([np.zeros(3)] + [oi * eye[c] for c in range(3) for oi in _D1_OFFSETS]
+               + [oi * eye[c] + oj * eye[d] for c, d in pairs
+                  for oi in _D1_OFFSETS for oj in _D1_OFFSETS])
+    vals = np.asarray(fun((points[None] + step * np.array(offsets)[:, None]).reshape(-1, 3)))
+    vals = vals.reshape((len(offsets), points.shape[0]) + vals.shape[1:])
+    value, axial = vals[0], vals[1:13].reshape((3, 4) + vals.shape[1:])
+    grad = np.stack([sum(w * axial[c, k] for k, w in enumerate(_D1_WEIGHTS)) / step
+                     for c in range(3)], axis=1)
+    if order == 1:
+        return value, grad
+    hess = np.empty(grad.shape[:2] + grad.shape[1:])
     for c in range(3):
-        shifted[c, :, :, c] += _D1_OFFSETS[:, None] * step
-    vals = np.asarray(fun(shifted.reshape(-1, 3)))
-    vals = vals.reshape((3, 4, npts) + vals.shape[1:])
-    out = np.zeros((npts, 3) + vals.shape[3:])
-    for c in range(3):
-        out[:, c] = sum(wgt * vals[c, k] for k, wgt in enumerate(_D1_WEIGHTS)) / step
-    return out
+        line = (axial[c, 0], axial[c, 1], value, axial[c, 2], axial[c, 3])
+        hess[:, c, c] = sum(w * f for w, f in zip(_D2_WEIGHTS, line)) / step ** 2
+    mixed = vals[13:].reshape((3, 4, 4) + vals.shape[1:])
+    for (c, d), block in zip(pairs, mixed):
+        hess[:, c, d] = hess[:, d, c] = sum(
+            wi * wj * block[i, j] for i, wi in enumerate(_D1_WEIGHTS)
+            for j, wj in enumerate(_D1_WEIGHTS)) / step ** 2
+    return value, grad, hess
+
+
+def richardson(coarse, fine, order: int):
+    """Differences of error order ``order`` with steps h (coarse) and h/2
+    (fine), extrapolated to step zero."""
+    return (2.0 ** order * fine - coarse) / (2.0 ** order - 1.0)
 
 
 def _inverse3(g: np.ndarray) -> np.ndarray:
@@ -112,20 +126,19 @@ class MetricField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self._grad is not None:
             return np.asarray(self._grad(points), dtype=float)
-        return fd_gradient(self.__call__, points, step)
-
-    def fd_gradient(self, points: np.ndarray, step: float = 1e-3) -> np.ndarray:
-        """Finite-difference gradient regardless of any analytic one."""
-        return fd_gradient(self.__call__, points, step)
+        return fd_jet(self, points, step)[1]
 
     def christoffel(self, points: np.ndarray, step: float = 1e-3,
                     force_fd: bool = False) -> np.ndarray:
         """Christoffel symbols Gamma^c_ab at the given points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        dg = self.fd_gradient(points, step) if force_fd else self.gradient(points, step)
+        if force_fd or self._grad is None:
+            g, dg = fd_jet(self, points, step)
+        else:
+            g, dg = self(points), self.gradient(points)
         # component-major, points last, so that every product runs over
         # contiguous points (polynomial metrics return views of such arrays)
-        g = self(points).transpose(1, 2, 0)
+        g = g.transpose(1, 2, 0)
         dg = dg.transpose(1, 2, 3, 0)
         # Gamma^c_ab = (1/2) g^{cd} bracket[d, a, b] with
         # bracket[d, a, b] = dg[a, d, b] + dg[b, d, a] - dg[d, a, b]

@@ -34,7 +34,7 @@ from ..boundary import HarmonicExterior
 from ..spherical import operators
 from ..spherical.fields import ScalarField, SymTensorField, TangentField
 from ..spherical.grid import SphereGrid, build_grid
-from .metricfield import _inverse3, fd_gradient
+from .metricfield import _inverse3, fd_jet, richardson
 
 __all__ = [
     "NumericalFailure",
@@ -307,14 +307,12 @@ def variation_check(params: DeformationParams, steps=(8e-3, 4e-3)) -> dict:
     plus2, minus2 = sample(h2), sample(-h2)
 
     def richardson_first(i):
-        d_h1 = (plus1[i] - minus1[i]) / (2.0 * h1)
-        d_h2 = (plus2[i] - minus2[i]) / (2.0 * h2)
-        return (4.0 * d_h2 - d_h1) / 3.0
+        return richardson((plus1[i] - minus1[i]) / (2.0 * h1),
+                          (plus2[i] - minus2[i]) / (2.0 * h2), 2)
 
     def richardson_second(i):
-        d_h1 = (plus1[i] - 2.0 * base[i] + minus1[i]) / h1 ** 2
-        d_h2 = (plus2[i] - 2.0 * base[i] + minus2[i]) / h2 ** 2
-        return (4.0 * d_h2 - d_h1) / 3.0
+        return richardson((plus1[i] - 2.0 * base[i] + minus1[i]) / h1 ** 2,
+                          (plus2[i] - 2.0 * base[i] + minus2[i]) / h2 ** 2, 2)
 
     trdot, hdot = first_variation(wide)
     tr2, h2nd = second_variation(wide)
@@ -329,11 +327,14 @@ def variation_check(params: DeformationParams, steps=(8e-3, 4e-3)) -> dict:
     return report
 
 
-def conformal_probe_check(lmax: int = 8, steps=(2e-3, 1e-3)) -> dict:
+def conformal_probe_check(lmax: int = 8, steps=(4e-3, 2e-3)) -> dict:
     """Pure conformal deformation with v = 1/r.
 
     The geometry oracle must reproduce H(t) = -2 (1+t)^{-1/2} + t (1+t)^{-3/2}
-    exactly in t, whose second derivative at zero is -9/2.
+    exactly in t, whose second derivative at zero is -9/2.  Roundoff in H
+    over step^2 and the step^4 truncation of the Richardson pair balance
+    near the default steps: the residual reads 3.3e-9 at (2e-3, 1e-3),
+    9.3e-10 at (4e-3, 2e-3) and 6.6e-9 at (8e-3, 4e-3).
     """
     grid = build_grid(lmax)
     coeffs = np.zeros(grid.nmodes)
@@ -350,9 +351,8 @@ def conformal_probe_check(lmax: int = 8, steps=(2e-3, 1e-3)) -> dict:
         return -2.0 / np.sqrt(1.0 + t) + t * (1.0 + t) ** (-1.5)
 
     closed_err = float(np.max([np.max(np.abs(h - closed(t))) for t, h in h_at.items()]))
-    d_h1 = (h_at[h1] - 2.0 * h_at[0.0] + h_at[-h1]) / h1 ** 2
-    d_h2 = (h_at[h2] - 2.0 * h_at[0.0] + h_at[-h2]) / h2 ** 2
-    second = (4.0 * d_h2 - d_h1) / 3.0
+    second = richardson((h_at[h1] - 2.0 * h_at[0.0] + h_at[-h1]) / h1 ** 2,
+                        (h_at[h2] - 2.0 * h_at[0.0] + h_at[-h2]) / h2 ** 2, 2)
     return {
         "h_curve_error": closed_err,
         "second_derivative": float(np.max(second)),
@@ -372,17 +372,15 @@ def mass_variation_identity(gdot_fun, grid: SphereGrid, t_step: float = 1e-3,
     """
     grid_x = grid.nodes
     # gdot, its gradient and the embedding's coefficients do not depend on t
-    gdot = np.asarray(gdot_fun(grid_x))
-    dgdot = fd_gradient(gdot_fun, grid_x, x_step)
+    gdot, dgdot = fd_jet(gdot_fun, grid_x, x_step)
     ycoef = grid.analyze(grid_x.T)
 
     def h_values(t):
         return embedded_sphere_geometry(grid, ycoef, np.eye(3) + t * gdot,
                                         t * dgdot)[1]
 
-    d_h1 = (h_values(t_step) - h_values(-t_step)) / (2.0 * t_step)
-    d_h2 = (h_values(0.5 * t_step) - h_values(-0.5 * t_step)) / t_step
-    hdot = (4.0 * d_h2 - d_h1) / 3.0
+    hdot = richardson((h_values(t_step) - h_values(-t_step)) / (2.0 * t_step),
+                      (h_values(0.5 * t_step) - h_values(-0.5 * t_step)) / t_step, 2)
 
     e1, e2 = grid.e_theta, grid.e_phi
     tangential_trace = (np.einsum("nab,na,nb->n", gdot, e1, e1)

@@ -28,7 +28,7 @@ from ..spherical.fields import ScalarField, SymTensorField, TangentField
 from ..spherical.grid import SphereGrid, build_grid
 from .curvature_fd import conformal_ricci, fd_linearized_ricci, fd_ricci, linearized_ricci
 from .geodesic import geodesic_sphere, jet_from_metric, space_form_reference
-from .metricfield import _D2_OFFSETS, _D2_WEIGHTS, MetricField, random_polynomial_metric
+from .metricfield import MetricField, fd_jet, random_polynomial_metric, richardson
 from .sphere_variation import (
     conformal_probe_check,
     mass_variation_identity,
@@ -75,55 +75,15 @@ def _homog_values(lmax: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return coeffs @ Y
 
 
-def _stencil_values(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
-                    shifts: np.ndarray) -> np.ndarray:
-    """Homogeneous extension at pts + each shift, one evaluation, (..., nshift, npts)."""
-    stacked = (pts[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
-    vals = _homog_values(lmax, coeffs, stacked)
-    return vals.reshape(vals.shape[:-1] + (len(shifts), -1))
-
-
-def _ambient_laplacian(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
-                       h: float) -> np.ndarray:
-    """Euclidean Laplacian of the homogeneous extension, 4th-order stencil.
-
-    On the unit sphere this equals the surface Laplacian, because the
-    extension has no radial variation.
-    """
-    eye = np.eye(3)
-    shifts = np.array([(oi * h) * eye[axis] for axis in range(3) for oi in _D2_OFFSETS])
-    vals = _stencil_values(lmax, coeffs, pts, shifts).reshape(3, len(_D2_OFFSETS), -1)
-    total = np.zeros(pts.shape[0])
-    for axis in range(3):
-        acc = np.zeros(pts.shape[0])
-        for wi, f in zip(_D2_WEIGHTS, vals[axis]):
-            acc += wi * f
-        total += acc / h ** 2
-    return total
-
-
 def _ambient_hessian(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
                      h: float) -> np.ndarray:
-    """Euclidean Hessian of the homogeneous extension, 2nd-order stencils,
-    (..., npts, 3, 3) for coefficients (..., nmodes)."""
-    eye = np.eye(3)
-    pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
-    # the center, then (+a, -a) per axis, then (pp, pm, mp, mm) per pair
-    shifts = ([np.zeros(3)]
-              + [s * h * eye[a] for a in range(3) for s in (1.0, -1.0)]
-              + [s * h * (eye[a] + t * eye[b]) for a, b in pairs
-                 for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0))])
-    vals = np.moveaxis(_stencil_values(lmax, coeffs, pts, np.array(shifts)), -2, 0)
-    f0 = vals[0]
-    axial = vals[1:7].reshape((3, 2) + f0.shape)
-    mixed = vals[7:].reshape((3, 4) + f0.shape)
-    hess = np.zeros(f0.shape + (3, 3))
-    for a in range(3):
-        fp, fm = axial[a]
-        hess[..., a, a] = (fp - 2.0 * f0 + fm) / h ** 2
-    for (a, b), (pp, pm, mp, mm) in zip(pairs, mixed):
-        hess[..., a, b] = hess[..., b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
-    return hess
+    """Euclidean Hessian of the homogeneous extension, 4th-order stencil,
+    (npts, 3, 3, ...) for coefficients (..., nmodes).
+
+    On the unit sphere its trace is the surface Laplacian, because the
+    extension has no radial variation.
+    """
+    return fd_jet(lambda p: _homog_values(lmax, coeffs, p).T, pts, h, order=2)[2]
 
 
 # -- suites ----------------------------------------------------------------
@@ -218,9 +178,8 @@ def _suite_multipliers(rng, lmax, fast):
         # the single mode evaluated through its own degree: the same
         # values as through grid.lmax, from much smaller tables
         band = coeffs[: harmonics.num_modes(l)]
-        lap_h = _ambient_laplacian(l, band, pts, h)
-        lap_h2 = _ambient_laplacian(l, band, pts, 0.5 * h)
-        lap = (16.0 * lap_h2 - lap_h) / 15.0
+        lap = richardson(*(np.trace(_ambient_hessian(l, band, pts, step), axis1=1, axis2=2)
+                           for step in (h, 0.5 * h)), 4)
         expect = -float(l * (l + 1)) * grid.synthesize(coeffs)[idx]
         worst = np.maximum(worst, np.max(np.abs(lap - expect)) / (l * (l + 1)))
     checks["laplace_ambient_fd"] = _check(worst, 1e-6)
@@ -229,25 +188,27 @@ def _suite_multipliers(rng, lmax, fast):
     # trace-free Hessian taken from the ambient extension, so this check
     # fails if the frozen multiplier table is wrong.  Every mode reads its
     # own row of one stencil table per step, taken at the highest drawn
-    # degree: a row does not depend on the band limit of its table.
+    # degree: a row does not depend on the band limit of its table.  The
+    # integrand has band at most 2 * top, which the top-degree grid
+    # integrates exactly.
     nmode = 3 if fast else 5
     modes = []
     for _ in range(nmode):
         l = int(rng.integers(2, min(grid.lmax, 5) + 1))
         modes.append((l, int(rng.integers(-l, l + 1))))
     top = max(l for l, _ in modes)
+    qgrid = build_grid(top)
     onehot = np.eye(harmonics.num_modes(top))[[harmonics.index_of(l, m) for l, m in modes]]
-    hess_h = _ambient_hessian(top, onehot, grid.nodes, h)
-    hess_h2 = _ambient_hessian(top, onehot, grid.nodes, 0.5 * h)
+    hess_all = richardson(*(_ambient_hessian(top, onehot, qgrid.nodes, step)
+                            for step in (h, 0.5 * h)), 4)
     worst = 0.0
-    e1, e2 = grid.e_theta, grid.e_phi
-    for (l, _), coarse, fine in zip(modes, hess_h, hess_h2):
-        hess = (4.0 * fine - coarse) / 3.0
+    e1, e2 = qgrid.e_theta, qgrid.e_phi
+    for (l, _), hess in zip(modes, np.moveaxis(hess_all, -1, 0)):
         q11 = np.einsum("na,nab,nb->n", e1, hess, e1)
         q12 = np.einsum("na,nab,nb->n", e1, hess, e2)
         q22 = np.einsum("na,nab,nb->n", e2, hess, e2)
         t1 = 0.5 * (q11 - q22)
-        mu_fd = grid.integrate(2.0 * (t1 ** 2 + q12 ** 2))
+        mu_fd = qgrid.integrate(2.0 * (t1 ** 2 + q12 ** 2))
         mu = float(operators.divdiv_multiplier(np.array([l]))[0])
         worst = np.maximum(worst, abs(mu_fd - mu) / mu)
     checks["divdiv_ambient_fd"] = _check(worst, 2e-4)
@@ -317,9 +278,10 @@ def _suite_linearized(rng, lmax, fast):
         # Richardson pair in the family parameter: a single difference
         # amplifies the curvature noise floor by 1/t, so use two steps
         # with the t^2 term cancelled to keep both error sources small.
-        fd_coarse = fd_linearized_ricci(h_fun, point, t_step=2e-3)
-        fd_fine = fd_linearized_ricci(h_fun, point, t_step=1e-3)
-        fd = (4.0 * fd_fine - fd_coarse) / 3.0
+        # That floor is the inner Ricci stencil's roundoff, which falls as
+        # 1/x_step^2: 1.1e-7 at the default x_step 1e-3, 8e-9 at 4e-3.
+        fd = richardson(fd_linearized_ricci(h_fun, point, t_step=2e-3, x_step=4e-3),
+                        fd_linearized_ricci(h_fun, point, t_step=1e-3, x_step=4e-3), 2)
         scale = 1.0 + float(np.max(np.abs(closed)))
         worst = np.maximum(worst, np.max(np.abs(fd - closed)) / scale)
     return {"linearized_ricci_fd": _check(worst, 1e-6)}

@@ -31,6 +31,12 @@ REMOVED = [
     ("statvac.oracles.geodesic", "_probe_angles"),
     ("statvac.curvature", "CurvatureJet.grad_scalar"),
     ("statvac.spherical.fields", "SymTensorField.round_metric"),
+    ("statvac.oracles.metricfield", "fd_gradient"),
+    ("statvac.oracles", "fd_gradient"),
+    ("statvac.oracles.metricfield", "MetricField.fd_gradient"),
+    ("statvac.oracles.suites", "_stencil_values"),
+    ("statvac.oracles.suites", "_ambient_laplacian"),
+    ("statvac.boundary", "HarmonicExterior._axis_tangential"),
 ]
 
 

@@ -259,6 +259,23 @@ def test_output_file_keeps_stdout_clean(tmp_path, capsys):
     assert json.loads(target.read_text())["mode"] == "fields"
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                             "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("schema error:") and str(target) in err
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"H1": [], "note": "\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                             "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("schema error:") and str(path) in err
+
+
 def test_verify_only_filters_suites(capsys):
     code, out, _ = run_cli(capsys, "--mode", "verify", "--lmax", "8",
                            "--only", "multipliers")

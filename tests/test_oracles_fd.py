@@ -1,22 +1,30 @@
 """Finite-difference curvature oracles and the ambient metric wrappers."""
 
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import statvac
 from statvac.curvature import Riemann3
 from statvac.oracles import (
     MetricField,
     conformal_ricci,
-    fd_gradient,
+    fd_jet,
     fd_linearized_ricci,
     fd_ricci,
     fd_riemann,
+    jet_from_metric,
     linearized_ricci,
+    mass_variation_identity,
     random_polynomial_metric,
+    richardson,
+    run_suite,
 )
 from statvac.oracles.metricfield import _inverse3
+from statvac.spherical.grid import build_grid
 
 
 def space_form_dense(k, rho):
@@ -39,7 +47,7 @@ def test_polynomial_gradient_matches_finite_differences(rng):
     metric = random_polynomial_metric(rng, amplitude=0.4)
     pts = rng.uniform(-0.3, 0.3, size=(6, 3))
     analytic = metric.gradient(pts)
-    fd = metric.fd_gradient(pts, step=1e-3)
+    fd = fd_jet(metric, pts, 1e-3)[1]
     assert np.max(np.abs(analytic - fd)) < 1e-9
 
 
@@ -48,7 +56,7 @@ def test_conformal_gradient_matches_finite_differences():
     metric = MetricField.space_form(k)
     pts = np.array([[0.1, -0.4, 0.2], [0.0, 0.3, -0.1]])
     analytic = metric.gradient(pts)
-    fd = metric.fd_gradient(pts, step=1e-3)
+    fd = fd_jet(metric, pts, 1e-3)[1]
     assert np.max(np.abs(analytic - fd)) < 1e-10
 
 
@@ -261,8 +269,8 @@ def test_christoffel_rejects_singular_metrics(g):
 
 def test_fd_ricci_evaluates_the_metric_at_its_points_once(rng, monkeypatch):
     """The metric that lowers the Riemann tensor also raises it for Ricci:
-    one call for the Christoffel stencils, one for their centers and base
-    points, one for the base points."""
+    one call for the Christoffel stencils with their centres, one for the
+    base points."""
     widths = []
     original = MetricField.__call__
 
@@ -274,7 +282,7 @@ def test_fd_ricci_evaluates_the_metric_at_its_points_once(rng, monkeypatch):
     pts = rng.uniform(-0.3, 0.3, size=(5, 3))
     monkeypatch.setattr(MetricField, "__call__", counted)
     fd_ricci(metric, pts)
-    assert widths == [780, 65, 5]
+    assert widths == [845, 5]
 
 
 def test_fd_ricci_batch_matches_single_points(rng):
@@ -360,13 +368,72 @@ def test_linearized_ricci_against_fd(rng):
 
 
 def test_fd_gradient_on_cubic():
-    def fun(pts):
-        return pts[:, 0] ** 3 + 2.0 * pts[:, 1] * pts[:, 2]
+    """The 4th-order stencils are exact on cubics up to roundoff, for a
+    batch of points and a value with a trailing axis."""
+    def cubic(p):
+        x, y, z = p.T
+        return x ** 3 + 2.0 * y * z + x * y * z + x * y * y
 
-    pts = np.array([[0.3, -0.5, 0.2]])
-    grad = fd_gradient(fun, pts, step=1e-3)[0]
-    expect = np.array([3.0 * 0.3 ** 2, 2.0 * 0.2, 2.0 * (-0.5)])
-    np.testing.assert_allclose(grad, expect, atol=1e-10)
+    def fun(pts):
+        return np.stack([cubic(pts), -3.0 * cubic(pts)], axis=1)
+
+    pts = np.array([[0.3, -0.5, 0.2], [-0.1, 0.4, 0.7]])
+    x, y, z = pts.T
+    grad = np.stack([3.0 * x ** 2 + y * z + y * y,
+                     2.0 * z + x * z + 2.0 * x * y,
+                     2.0 * y + x * y], axis=1)
+    hess = np.array([[[6.0 * xi, zi + 2.0 * yi, yi],
+                      [zi + 2.0 * yi, 2.0 * xi, 2.0 + xi],
+                      [yi, 2.0 + xi, 0.0]] for xi, yi, zi in pts])
+    scale = np.array([1.0, -3.0])
+
+    value1, grad1 = fd_jet(fun, pts, 1e-3)
+    value2, grad2, hess2 = fd_jet(fun, pts, 1e-3, order=2)
+    np.testing.assert_allclose(value1, cubic(pts)[:, None] * scale, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(grad1, grad[..., None] * scale, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(hess2, hess[..., None] * scale, rtol=0, atol=1e-7)
+    assert hess2.shape == (2, 3, 3, 2)
+    # the order-2 call evaluates a superset of the points, pointwise
+    assert value2.tobytes() == value1.tobytes() and grad2.tobytes() == grad1.tobytes()
+
+
+def test_richardson_cancels_the_leading_error():
+    """With D(h) = d + c h^p, the pair (h, h/2) gives d exactly."""
+    for order in (2, 4):
+        coarse, fine = 1.5 + 0.3 * 0.2 ** order, 1.5 + 0.3 * 0.1 ** order
+        assert abs(richardson(coarse, fine, order) - 1.5) < 1e-15
+
+
+def test_every_oracle_derivative_goes_through_fd_jet(rng, monkeypatch):
+    """One stencil routine: each oracle that differentiates in space
+    reaches fd_jet, through whichever module imports it."""
+    calls = []
+    for info in pkgutil.walk_packages(statvac.__path__, "statvac."):
+        module = importlib.import_module(info.name)
+        original = getattr(module, "fd_jet", None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "fd_jet", counted)
+
+    def reaches(run):
+        calls.clear()
+        run()
+        return len(calls) > 0
+
+    metric = random_polynomial_metric(rng, amplitude=0.4)
+    pts = rng.uniform(-0.3, 0.3, size=(2, 3))
+    grid = build_grid(6)
+    assert reaches(lambda: jet_from_metric(metric, np.zeros(3)))
+    assert reaches(lambda: fd_ricci(metric, pts))
+    assert reaches(lambda: metric.christoffel(pts, force_fd=True))
+    assert reaches(lambda: mass_variation_identity(
+        lambda p: np.eye(3) + p[:, :, None] * p[:, None, :], grid))
+    assert reaches(lambda: run_suite("multipliers", seed=0, lmax=8))
 
 
 def test_metric_callable_shape_validation():
