@@ -23,8 +23,7 @@ import numpy as np
 
 from . import io, mass
 from .curvature import reference_expansions
-from .oracles import suites
-from .oracles.geodesic import NumericalFailure
+from .errors import NumericalFailure
 from .spherical.grid import build_grid
 
 __all__ = ["RunConfig", "main", "run_fields", "run_small_sphere", "run_verify"]
@@ -227,8 +226,19 @@ def run_small_sphere(config: RunConfig) -> str:
     })
 
 
+def __getattr__(name):
+    # ``cli.suites`` resolves on first use: the oracle suites, and with them
+    # scipy.integrate, load only when a verify run needs them
+    if name == "suites":
+        from .oracles import suites
+        return suites
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_verify(config: RunConfig, names=None) -> str:
     """Run verification suites; failure exits through _Outcome."""
+    from .oracles import suites
+
     if names is None:
         names = config.only if config.only else None
     if names is not None:

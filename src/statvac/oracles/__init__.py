@@ -14,13 +14,19 @@ from .curvature_fd import (
     fd_riemann,
     linearized_ricci,
 )
+from ..errors import NumericalFailure
 from .geodesic import (
-    NumericalFailure,
     geodesic_sphere,
     jet_from_metric,
     space_form_reference,
 )
-from .metricfield import MetricField, fd_jet, random_polynomial_metric, richardson
+from .metricfield import (
+    MetricField,
+    fd_jet,
+    fd_laplacian,
+    random_polynomial_metric,
+    richardson,
+)
 from .sphere_variation import (
     DeformationParams,
     conformal_probe_check,
@@ -37,6 +43,7 @@ from .suites import SUITE_NAMES, random_data, run_all, run_suite
 __all__ = [
     "MetricField",
     "fd_jet",
+    "fd_laplacian",
     "richardson",
     "random_polynomial_metric",
     "fd_riemann",

@@ -33,11 +33,12 @@ from scipy.integrate import DOP853
 
 from ..boundary import BartnikPerturbation
 from ..curvature import CurvatureJet, jet_from_arrays
+from ..errors import NumericalFailure
 from ..spherical.fields import ScalarField, SymTensorField
 from ..spherical.grid import SphereGrid
 from .curvature_fd import fd_ricci
 from .metricfield import MetricField, fd_jet
-from .sphere_variation import NumericalFailure, embedded_sphere_geometry
+from .sphere_variation import embedded_sphere_geometry
 
 __all__ = [
     "NumericalFailure",

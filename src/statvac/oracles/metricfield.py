@@ -10,6 +10,10 @@ of the closed forms it is checking.
 Points are batched: every difference stencil is gathered into one call of
 the callable, so a metric callable must accept any (npts, 3) batch and
 return (npts, 3, 3), with each point's value independent of the others.
+A family of metrics is one callable over (nfam, npts, 3) points that
+broadcasts one parameter set per entry of the leading axis; the stencils
+and the Christoffel symbols keep such leading axes, so one call serves
+every member of the family.
 Polynomial metrics evaluate g and its exact gradient as fixed-order sums
 over monomials of the coordinates, on the six rows a <= b of the symmetric
 (a, b) pair, gathered to nine at the end.  The coefficients and the
@@ -28,6 +32,7 @@ import numpy as np
 __all__ = [
     "MetricField",
     "fd_jet",
+    "fd_laplacian",
     "random_polynomial_metric",
     "richardson",
 ]
@@ -37,6 +42,13 @@ _D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 # 4th-order central second-difference weights at offsets (-2, ..., 2) * h
 _D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# the stencils' unit offsets: _D1_OFFSETS along each axis in turn, and
+# along each pair of axes jointly, pairs (0, 1), (0, 2), (1, 2)
+_EYE = np.eye(3)
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_AXIAL = np.array([oi * _EYE[c] for c in range(3) for oi in _D1_OFFSETS])
+_MIXED = np.array([oi * _EYE[c] + oj * _EYE[d] for c, d in _PAIRS
+                   for oi in _D1_OFFSETS for oj in _D1_OFFSETS])
 
 # flat rows a*3 + b with a <= b of a symmetric 3x3 index pair, and the
 # gather that expands those six rows back to all nine
@@ -44,42 +56,78 @@ _SYM_ROWS = np.array([0, 1, 2, 4, 5, 8])
 _SYM_GATHER = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
+def _on_stencil(fun, points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """fun at every point plus every offset, from one call.
+
+    Points are (..., npts, 3) and offsets (noff, 3); ``fun`` sees the
+    leading axes unchanged and the stencil flattened offset-major,
+    (..., noff * npts, 3).  Returns (noff, ..., npts, ...).
+    """
+    lead = points.shape[:-2]
+    stencil = points[..., None, :, :] + offsets[:, None, :]
+    vals = np.asarray(fun(stencil.reshape(lead + (-1, 3))))
+    vals = vals.reshape(lead + stencil.shape[-3:-1] + vals.shape[len(lead) + 1:])
+    return np.moveaxis(vals, len(lead), 0)
+
+
+def _second(axial, value, step):
+    """D2 along one axis from its four axial values and the shared centre."""
+    line = (axial[0], axial[1], value, axial[2], axial[3])
+    return sum(w * f for w, f in zip(_D2_WEIGHTS, line)) / step ** 2
+
+
 def fd_jet(fun, points: np.ndarray, step: float, order: int = 1):
     """Value and 4th-order central-difference derivatives of a pointwise callable.
 
-    ``fun`` maps (npts, 3) points to (npts, ...) values, each point's value
-    independent of the batch, and is called once: on the points, their
-    copies at (-2, -1, 1, 2) * step along each axis and, for ``order`` 2
-    (the other value is 1), at those offsets along each pair of axes
-    jointly; 13 evaluations per point, or 61 for order 2.
+    Points are (npts, 3), or (3,) for one point, with any leading axes in
+    front: a family axis, say, over which ``fun`` broadcasts one parameter
+    set per entry.  ``fun`` maps (..., n, 3) points to (..., n, ...) values,
+    each point's value independent of the batch, and is called once: on
+    the points, their copies at (-2, -1, 1, 2) * step along each axis and,
+    for ``order`` 2 (the other value is 1), at those offsets along each
+    pair of axes jointly; 13 evaluations per point, or 61 for order 2.
     Returns (value, gradient) or (value, gradient, hessian), shaped
-    (npts, ...), (npts, 3, ...) and (npts, 3, 3, ...).  The weights are
-    Fornberg's (Math. Comp. 51, 1988): D1 for the gradient, D2 with the
-    shared centre on the Hessian diagonal and D1 x D1 off it.
+    (..., npts, ...), (..., npts, 3, ...) and (..., npts, 3, 3, ...).  The
+    weights are Fornberg's (Math. Comp. 51, 1988): D1 for the gradient, D2
+    with the shared centre on the Hessian diagonal and D1 x D1 off it.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    eye = np.eye(3)
-    pairs = [(c, d) for c in range(3) for d in range(c + 1, 3)] if order == 2 else []
-    offsets = ([np.zeros(3)] + [oi * eye[c] for c in range(3) for oi in _D1_OFFSETS]
-               + [oi * eye[c] + oj * eye[d] for c, d in pairs
-                  for oi in _D1_OFFSETS for oj in _D1_OFFSETS])
-    vals = np.asarray(fun((points[None] + step * np.array(offsets)[:, None]).reshape(-1, 3)))
-    vals = vals.reshape((len(offsets), points.shape[0]) + vals.shape[1:])
+    points = np.asarray(points, dtype=float)
+    points = points[None] if points.ndim == 1 else points
+    offsets = [np.zeros((1, 3)), _AXIAL] + ([_MIXED] if order == 2 else [])
+    vals = _on_stencil(fun, points, step * np.concatenate(offsets))
     value, axial = vals[0], vals[1:13].reshape((3, 4) + vals.shape[1:])
+    axis = points.ndim - 1  # derivative slots follow the point axis
     grad = np.stack([sum(w * axial[c, k] for k, w in enumerate(_D1_WEIGHTS)) / step
-                     for c in range(3)], axis=1)
+                     for c in range(3)], axis=axis)
     if order == 1:
         return value, grad
-    hess = np.empty(grad.shape[:2] + grad.shape[1:])
+    hess = [[None] * 3 for _ in range(3)]
     for c in range(3):
-        line = (axial[c, 0], axial[c, 1], value, axial[c, 2], axial[c, 3])
-        hess[:, c, c] = sum(w * f for w, f in zip(_D2_WEIGHTS, line)) / step ** 2
+        hess[c][c] = _second(axial[c], value, step)
     mixed = vals[13:].reshape((3, 4, 4) + vals.shape[1:])
-    for (c, d), block in zip(pairs, mixed):
-        hess[:, c, d] = hess[:, d, c] = sum(
+    for (c, d), block in zip(_PAIRS, mixed):
+        hess[c][d] = hess[d][c] = sum(
             wi * wj * block[i, j] for i, wi in enumerate(_D1_WEIGHTS)
             for j, wj in enumerate(_D1_WEIGHTS)) / step ** 2
-    return value, grad, hess
+    return value, grad, np.stack([np.stack(row, axis=axis) for row in hess], axis=axis)
+
+
+def fd_laplacian(fun, points: np.ndarray, steps) -> np.ndarray:
+    """Euclidean Laplacian of a pointwise callable at each of several steps.
+
+    The trace of ``fd_jet``'s order-2 Hessian, which reads only the axial
+    points: ``fun`` is called once, on the points and their 12 axial
+    copies per step, 1 + 12 * len(steps) evaluations per point, with the
+    same conventions as ``fd_jet``.  Returns (len(steps), ..., npts, ...).
+    """
+    points = np.asarray(points, dtype=float)
+    points = points[None] if points.ndim == 1 else points
+    steps = [float(h) for h in steps]
+    vals = _on_stencil(fun, points,
+                       np.concatenate([np.zeros((1, 3))] + [h * _AXIAL for h in steps]))
+    value, axial = vals[0], vals[1:].reshape((len(steps), 3, 4) + vals.shape[1:])
+    return np.stack([sum(_second(axial[s, c], value, h) for c in range(3))
+                     for s, h in enumerate(steps)])
 
 
 def richardson(coarse, fine, order: int):
@@ -89,7 +137,7 @@ def richardson(coarse, fine, order: int):
 
 
 def _inverse3(g: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of 3x3 matrices stored component-major, (3, 3, npts).
+    """Closed-form inverse of 3x3 matrices stored component-major, (3, 3, ...).
 
     Column i of the inverse is row i+1 cross row i+2 over the determinant.
     Raises LinAlgError on a singular or non-finite matrix.
@@ -100,7 +148,7 @@ def _inverse3(g: np.ndarray) -> np.ndarray:
         adj[0, i] = a[1] * b[2] - a[2] * b[1]
         adj[1, i] = a[2] * b[0] - a[0] * b[2]
         adj[2, i] = a[0] * b[1] - a[1] * b[0]
-    det = np.einsum("an,an->n", g[0], adj[:, 0])
+    det = np.einsum("a...,a...->...", g[0], adj[:, 0])
     if not np.all(np.isfinite(g)) or np.any(det == 0.0):
         raise np.linalg.LinAlgError("singular or non-finite metric")
     return adj / det
@@ -117,8 +165,8 @@ class MetricField:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         g = np.asarray(self._fun(points), dtype=float)
-        if g.shape != (points.shape[0], 3, 3):
-            raise ValueError("metric callable must return (npts, 3, 3)")
+        if g.shape != points.shape[:-1] + (3, 3):
+            raise ValueError("metric callable must return (..., npts, 3, 3)")
         return g
 
     def gradient(self, points: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -130,22 +178,24 @@ class MetricField:
 
     def christoffel(self, points: np.ndarray, step: float = 1e-3,
                     force_fd: bool = False) -> np.ndarray:
-        """Christoffel symbols Gamma^c_ab at the given points."""
+        """Christoffel symbols Gamma^c_ab at (..., npts, 3) points, (..., npts, 3, 3, 3)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if force_fd or self._grad is None:
             g, dg = fd_jet(self, points, step)
         else:
             g, dg = self(points), self.gradient(points)
+        shape = g.shape[:-2]
+        # pointwise from here on, so any leading axes join the points; then
         # component-major, points last, so that every product runs over
         # contiguous points (polynomial metrics return views of such arrays)
-        g = g.transpose(1, 2, 0)
-        dg = dg.transpose(1, 2, 3, 0)
+        g = g.reshape(-1, 3, 3).transpose(1, 2, 0)
+        dg = dg.reshape(-1, 3, 3, 3).transpose(1, 2, 3, 0)
         # Gamma^c_ab = (1/2) g^{cd} bracket[d, a, b] with
         # bracket[d, a, b] = dg[a, d, b] + dg[b, d, a] - dg[d, a, b]
         bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
         gam = np.matmul(_inverse3(g).transpose(2, 0, 1),
                         bracket.reshape(3, 9, -1).transpose(2, 0, 1))
-        return 0.5 * gam.reshape(-1, 3, 3, 3)
+        return 0.5 * gam.reshape(shape + (3, 3, 3))
 
     def geodesic_acceleration(self, points: np.ndarray,
                               velocities: np.ndarray) -> np.ndarray:
@@ -186,13 +236,13 @@ class MetricField:
 
         def fun(pts):
             vals = np.asarray(rho(pts), dtype=float)
-            return vals[:, None, None] * np.eye(3)
+            return vals[..., None, None] * np.eye(3)
 
         grad = None
         if drho is not None:
             def grad(pts):
                 dv = np.asarray(drho(pts), dtype=float)
-                return dv[:, :, None, None] * np.eye(3)
+                return dv[..., None, None] * np.eye(3)
 
         return cls(fun, grad, label=label)
 

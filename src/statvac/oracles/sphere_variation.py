@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ..boundary import HarmonicExterior
+from ..errors import NumericalFailure
 from ..spherical import operators
 from ..spherical.fields import ScalarField, SymTensorField, TangentField
 from ..spherical.grid import SphereGrid, build_grid
@@ -50,11 +51,6 @@ __all__ = [
 ]
 
 
-class NumericalFailure(RuntimeError):
-    """An oracle integration failed to reach its accuracy target, or the
-    surface it produced is degenerate."""
-
-
 def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
                              g: np.ndarray, dg: np.ndarray):
     """Induced metric and mean curvature of an embedded sphere.
@@ -63,11 +59,16 @@ def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
     Cartesian components y^c, whose tangents and second derivatives are
     taken spectrally on ``grid``; g (nnodes, 3, 3) is the ambient metric at
     the embedded nodes and dg (nnodes, 3, 3, 3) its gradient,
-    dg[n, c, a, b] = d_c g_ab.
+    dg[n, c, a, b] = d_c g_ab.  Any of them may carry leading batch axes,
+    ycoef as (3, ..., nmodes) and the metric as (..., nnodes, 3, 3), which
+    broadcast against each other: several spheres in one call, or one
+    embedding, whose spectral derivatives are then taken once, in several
+    metrics.
 
     Returns ((c11, c12, c22), h, det, nu): the induced metric in the
     orthonormal frame of the round sphere, the mean curvature, the induced
-    metric's determinant in (theta, phi) and the unit normal (nnodes, 3).
+    metric's determinant in (theta, phi), each (..., nnodes), and the unit
+    normal (..., nnodes, 3).
     nu is y_theta x y_phi raised by g and normalized, outward on an
     embedding that keeps the unit sphere's orientation.  h is the trace of
     the second fundamental form nu_c (d_a d_b y^c + Gamma^c_de d_a y^d d_b y^e),
@@ -75,13 +76,17 @@ def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
     symbols; it is -2 on the round unit sphere.  A degenerate induced
     metric or normal raises NumericalFailure.
     """
-    # component-major, nodes last, as in MetricField.christoffel
+    # component-major, nodes last, as in MetricField.christoffel; batch
+    # axes sit between the components and the nodes, the embedding's
+    # padded to as many as the metric's
+    pad = g.ndim - 3 - (ycoef.ndim - 2)
+    ycoef = ycoef.reshape(ycoef.shape[:1] + (1,) * pad + ycoef.shape[1:])
     d_th, d_ph, d_thth, d_thph = (
         grid.synth(table, ycoef)
         for table in ("dYdtheta", "dYdphi", "d2Ydtheta2", "d2Ydthetadphi"))
     d_phph = grid.synthesize(grid.dphi_coeffs(grid.dphi_coeffs(ycoef)))
-    g = np.ascontiguousarray(g.transpose(1, 2, 0))
-    dg = np.ascontiguousarray(dg.transpose(1, 2, 3, 0))
+    g = np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1)))
+    dg = np.ascontiguousarray(np.moveaxis(dg, (-3, -2, -1), (0, 1, 2)))
 
     def lower(mat, w):  # mat[a, b] w^b
         return mat[:, 0] * w[0] + mat[:, 1] * w[1] + mat[:, 2] * w[2]
@@ -108,14 +113,14 @@ def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
     # q[c, b] = d_c g_bf nu^f and r[a, b] = nu^f d_f g_ab
     q = lower(dg, nu)
     r = nu[0] * dg[0] + nu[1] * dg[1] + nu[2] * dg[2]
-    s = 0.5 * (q + q.transpose(1, 0, 2) - r)
+    s = 0.5 * (q + q.swapaxes(0, 1) - r)
     a_tt = dot(nu_cov, d_thth) + dot(d_th, lower(s, d_th))
     a_tp = dot(nu_cov, d_thph) + dot(d_th, lower(s, d_ph))
     a_pp = dot(nu_cov, d_phph) + dot(d_ph, lower(s, d_ph))
     h = (s_pp * a_tt - 2.0 * s_tp * a_tp + s_tt * a_pp) / det
 
     st = grid.sin_theta
-    return (s_tt, s_tp / st, s_pp / (st * st)), h, det, nu.T
+    return (s_tt, s_tp / st, s_pp / (st * st)), h, det, np.moveaxis(nu, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,36 @@ def random_deformation(grid: SphereGrid, rng: np.random.Generator,
     return DeformationParams(f=f, X=X, vperp=v)
 
 
+def _deformed_geometry(params: DeformationParams, ts):
+    """Frame components (c11, c12, c22) of the induced metric and the mean
+    curvature of the deformed spheres at each t of ``ts``, all from one
+    geometry call; each is a (len(ts), nnodes) array of node values."""
+    grid = params.grid
+    t = np.asarray(ts, dtype=float).reshape(-1, 1)  # against the nodes
+    y = (1.0 + t * params.f.values)[..., None] * grid.nodes + t[..., None] * params.x_ambient
+    rho = 1.0 + t * params.v_trace
+    if not np.all(rho > 0.0):
+        raise ValueError("conformal factor is not positive at this t")
+    eye = np.eye(3)[:, :, None, None]
+    try:
+        # the flowed conformal factor's gradient is t (D flow)^-T grad v; a
+        # surface that collapses makes the flow Jacobian singular as well
+        jac_inv = _inverse3(eye + t * params.flow_du.transpose(1, 2, 0)[:, :, None])
+        grad_v = params.grad_v.T
+        drho = t * (jac_inv[0] * grad_v[0] + jac_inv[1] * grad_v[1]
+                    + jac_inv[2] * grad_v[2])
+        # built component-major, (3, 3, t, nodes), which is the layout the
+        # geometry works in, and handed over as transposed views
+        g = rho * eye
+        dg = drho[:, None, None] * eye
+        (c11, c12, c22), h, _, _ = embedded_sphere_geometry(
+            grid, grid.analyze(np.moveaxis(y, -1, 0)),
+            np.moveaxis(g, (0, 1), (-2, -1)), np.moveaxis(dg, (0, 1, 2), (-3, -2, -1)))
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        raise ValueError("deformed surface is degenerate at this t") from exc
+    return (c11, c12, c22), h
+
+
 def deformed_sphere_geometry(params: DeformationParams, t: float):
     """Induced metric and mean curvature of the deformed sphere at time t.
 
@@ -200,29 +235,10 @@ def deformed_sphere_geometry(params: DeformationParams, t: float):
     must comfortably exceed the band of the parameters, because the
     embedding components are differentiated spectrally.
     """
+    (c11, c12, c22), h = _deformed_geometry(params, [t])
     grid = params.grid
-    y = (1.0 + t * params.f.values)[:, None] * grid.nodes + t * params.x_ambient
-    rho = 1.0 + t * params.v_trace
-    if not np.all(rho > 0.0):
-        raise ValueError("conformal factor is not positive at this t")
-    eye = np.eye(3)
-    try:
-        # the flowed conformal factor's gradient is t (D flow)^-T grad v; a
-        # surface that collapses makes the flow Jacobian singular as well
-        jac_inv = _inverse3(eye[:, :, None] + t * params.flow_du.transpose(1, 2, 0))
-        grad_v = params.grad_v.T
-        drho = t * (jac_inv[0] * grad_v[0] + jac_inv[1] * grad_v[1]
-                    + jac_inv[2] * grad_v[2])
-        # built component-major, nodes last, which is the layout the
-        # geometry works in, and handed over as transposed views
-        g = rho * eye[:, :, None]
-        dg = drho[:, None, None] * eye[:, :, None]
-        (c11, c12, c22), h, _, _ = embedded_sphere_geometry(
-            grid, grid.analyze(y.T), g.transpose(2, 0, 1), dg.transpose(3, 0, 1, 2))
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
-        raise ValueError("deformed surface is degenerate at this t") from exc
-    gamma = SymTensorField.from_components(grid, c11, c12, c22)
-    return gamma, ScalarField.from_values(grid, h)
+    gamma = SymTensorField.from_components(grid, c11[0], c12[0], c22[0])
+    return gamma, ScalarField.from_values(grid, h[0])
 
 
 def first_variation(params: DeformationParams):
@@ -294,17 +310,13 @@ def variation_check(params: DeformationParams, steps=(8e-3, 4e-3)) -> dict:
     wgrid = build_grid(2 * params.grid.lmax + 4)
     wide = params.widened(wgrid)
 
-    def sample(t):
-        gamma, h = deformed_sphere_geometry(wide, t)
-        return gamma.trace.values, h.values
-
     h1, h2 = steps
     if not np.isclose(h1, 2.0 * h2):
         raise ValueError("Richardson steps must have ratio 2")
 
-    base = sample(0.0)
-    plus1, minus1 = sample(h1), sample(-h1)
-    plus2, minus2 = sample(h2), sample(-h2)
+    # (tr gamma, H) at each t; c11 + c22 are the node values of gamma's trace
+    (c11, _, c22), h = _deformed_geometry(wide, (0.0, h1, -h1, h2, -h2))
+    base, plus1, minus1, plus2, minus2 = zip(c11 + c22, h)
 
     def richardson_first(i):
         return richardson((plus1[i] - minus1[i]) / (2.0 * h1),
@@ -344,8 +356,8 @@ def conformal_probe_check(lmax: int = 8, steps=(4e-3, 2e-3)) -> dict:
                                vperp=HarmonicExterior(grid, coeffs))
 
     h1, h2 = steps
-    h_at = {t: deformed_sphere_geometry(params, t)[1].values
-            for t in (0.0, h1, -h1, h2, -h2)}
+    ts = (0.0, h1, -h1, h2, -h2)
+    h_at = dict(zip(ts, _deformed_geometry(params, ts)[1]))
 
     def closed(t):
         return -2.0 / np.sqrt(1.0 + t) + t * (1.0 + t) ** (-1.5)
@@ -375,12 +387,10 @@ def mass_variation_identity(gdot_fun, grid: SphereGrid, t_step: float = 1e-3,
     gdot, dgdot = fd_jet(gdot_fun, grid_x, x_step)
     ycoef = grid.analyze(grid_x.T)
 
-    def h_values(t):
-        return embedded_sphere_geometry(grid, ycoef, np.eye(3) + t * gdot,
-                                        t * dgdot)[1]
-
-    hdot = richardson((h_values(t_step) - h_values(-t_step)) / (2.0 * t_step),
-                      (h_values(0.5 * t_step) - h_values(-0.5 * t_step)) / t_step, 2)
+    # H at t = +-t_step and +-t_step/2, one embedding in four metrics
+    t = np.array([t_step, -t_step, 0.5 * t_step, -0.5 * t_step])[:, None, None, None]
+    h = embedded_sphere_geometry(grid, ycoef, np.eye(3) + t * gdot, t[..., None] * dgdot)[1]
+    hdot = richardson((h[0] - h[1]) / (2.0 * t_step), (h[2] - h[3]) / t_step, 2)
 
     e1, e2 = grid.e_theta, grid.e_phi
     tangential_trace = (np.einsum("nab,na,nb->n", gdot, e1, e1)

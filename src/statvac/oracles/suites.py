@@ -28,7 +28,7 @@ from ..spherical.fields import ScalarField, SymTensorField, TangentField
 from ..spherical.grid import SphereGrid, build_grid
 from .curvature_fd import conformal_ricci, fd_linearized_ricci, fd_ricci, linearized_ricci
 from .geodesic import geodesic_sphere, jet_from_metric, space_form_reference
-from .metricfield import MetricField, fd_jet, random_polynomial_metric, richardson
+from .metricfield import MetricField, fd_jet, fd_laplacian, random_polynomial_metric, richardson
 from .sphere_variation import (
     conformal_probe_check,
     mass_variation_identity,
@@ -78,11 +78,7 @@ def _homog_values(lmax: int, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _ambient_hessian(lmax: int, coeffs: np.ndarray, pts: np.ndarray,
                      h: float) -> np.ndarray:
     """Euclidean Hessian of the homogeneous extension, 4th-order stencil,
-    (npts, 3, 3, ...) for coefficients (..., nmodes).
-
-    On the unit sphere its trace is the surface Laplacian, because the
-    extension has no radial variation.
-    """
+    (npts, 3, 3, ...) for coefficients (..., nmodes)."""
     return fd_jet(lambda p: _homog_values(lmax, coeffs, p).T, pts, h, order=2)[2]
 
 
@@ -163,26 +159,32 @@ def _suite_multipliers(rng, lmax, fast):
                         np.max(np.abs(image.q_coeffs - q))])
     checks["conformal_killing_roundtrip"] = _check(worst, 1e-9)
 
-    # ambient finite differences pin the multiplier values themselves
-    nprobe = 24 if fast else 48
+    # ambient finite differences pin the multiplier values themselves: the
+    # trace of the ambient Hessian of the homogeneous extension is the
+    # surface Laplacian on the unit sphere, where the extension has no
+    # radial variation
+    nprobe = min(24 if fast else 48, grid.nnodes)
     nmode = 4 if fast else 8
     h = 0.02
-    worst = 0.0
+    draws = []
     for _ in range(nmode):
         l = int(rng.integers(1, min(grid.lmax, 6) + 1))
         m = int(rng.integers(-l, l + 1))
-        coeffs = np.zeros(grid.nmodes)
-        coeffs[harmonics.index_of(l, m)] = 1.0
-        idx = rng.choice(grid.nnodes, size=min(nprobe, grid.nnodes), replace=False)
-        pts = grid.nodes[idx]
-        # the single mode evaluated through its own degree: the same
-        # values as through grid.lmax, from much smaller tables
-        band = coeffs[: harmonics.num_modes(l)]
-        lap = richardson(*(np.trace(_ambient_hessian(l, band, pts, step), axis1=1, axis2=2)
-                           for step in (h, 0.5 * h)), 4)
-        expect = -float(l * (l + 1)) * grid.synthesize(coeffs)[idx]
-        worst = np.maximum(worst, np.max(np.abs(lap - expect)) / (l * (l + 1)))
-    checks["laplace_ambient_fd"] = _check(worst, 1e-6)
+        draws.append((l, m, rng.choice(grid.nnodes, size=nprobe, replace=False)))
+    # every mode at every probe of every mode, both steps, through the
+    # highest drawn degree: a mode's values do not depend on the band
+    # limit of the table; each mode then keeps its own probes
+    top = max(l for l, _, _ in draws)
+    onehot = np.zeros((nmode, grid.nmodes))
+    onehot[np.arange(nmode), [harmonics.index_of(l, m) for l, m, _ in draws]] = 1.0
+    band = onehot[:, : harmonics.num_modes(top)]
+    idx = np.stack([i for _, _, i in draws])
+    lap = richardson(*fd_laplacian(lambda p: _homog_values(top, band, p).T,
+                                   grid.nodes[idx.ravel()], (h, 0.5 * h)), 4)
+    lap = lap.reshape(nmode, nprobe, nmode)[np.arange(nmode), :, np.arange(nmode)]
+    lam = np.array([float(l * (l + 1)) for l, _, _ in draws])[:, None]
+    expect = -lam * np.take_along_axis(grid.synthesize(onehot), idx, axis=1)
+    checks["laplace_ambient_fd"] = _check(np.max(np.abs(lap - expect) / lam), 1e-6)
 
     # int |tfHess Y|^2 = (divdiv multiplier) * int Y^2 by parts, with the
     # trace-free Hessian taken from the ambient extension, so this check
@@ -233,58 +235,65 @@ def _suite_invariants(rng, lmax, fast):
     }
 
 
+def _worst_relative(fd: np.ndarray, closed: np.ndarray) -> float:
+    """Largest per-sample max|fd - closed| / (1 + max|closed|) over the
+    leading sample axis; a NaN anywhere gives NaN."""
+    nsample = closed.shape[0]
+    scale = 1.0 + np.max(np.abs(closed).reshape(nsample, -1), axis=1)
+    return np.max(np.max(np.abs(fd - closed).reshape(nsample, -1), axis=1) / scale)
+
+
 def _suite_conformal(rng, lmax, fast):
     """Closed-form conformal Ricci against finite-difference curvature."""
     nsample = 20 if fast else 100
-    worst = 0.0
-    for _ in range(nsample):
-        lin = rng.uniform(-0.2, 0.2, 3)
-        quad = rng.uniform(-0.2, 0.2, (3, 3))
-        quad = 0.5 * (quad + quad.T)
+    lin, quad, points = np.empty((nsample, 3)), np.empty((nsample, 3, 3)), np.empty((nsample, 3))
+    for i in range(nsample):
+        lin[i] = rng.uniform(-0.2, 0.2, 3)
+        q = rng.uniform(-0.2, 0.2, (3, 3))
+        quad[i] = 0.5 * (q + q.T)
+        points[i] = rng.uniform(-0.3, 0.3, 3)
 
-        def rho(pts):
-            return 1.0 + pts @ lin + np.einsum("na,ab,nb->n", pts, quad, pts)
+    def rho(pts):
+        """The family of conformal factors, sample i on pts[i], (nsample, n, 3)."""
+        return (1.0 + (pts @ lin[:, :, None])[..., 0]
+                + np.einsum("sna,sab,snb->sn", pts, quad, pts))
 
-        point = rng.uniform(-0.3, 0.3, 3)
-        closed = conformal_ricci(float(rho(point[None])[0]),
-                                 lin + 2.0 * quad @ point, 2.0 * quad)
-        fd = fd_ricci(MetricField.conformal(rho), point)
-        scale = 1.0 + float(np.max(np.abs(closed)))
-        worst = np.maximum(worst, np.max(np.abs(fd - closed)) / scale)
-    return {"conformal_ricci_fd": _check(worst, 1e-6)}
+    rho0 = rho(points[:, None])[:, 0]
+    closed = np.stack([conformal_ricci(float(r), a + 2.0 * b @ x, 2.0 * b)
+                       for r, a, b, x in zip(rho0, lin, quad, points)])
+    fd = fd_ricci(MetricField.conformal(rho), points[:, None])[:, 0]
+    return {"conformal_ricci_fd": _check(_worst_relative(fd, closed), 1e-6)}
 
 
 def _suite_linearized(rng, lmax, fast):
     """Linearized Ricci formula against t-differenced curvature."""
     nsample = 10 if fast else 40
-    worst = 0.0
-    for _ in range(nsample):
-        amp = 0.3
-        const = rng.uniform(-amp, amp, (3, 3))
-        lin = rng.uniform(-amp, amp, (3, 3, 3))
-        quad = rng.uniform(-amp, amp, (3, 3, 3, 3))
-        const = 0.5 * (const + const.transpose(1, 0))
-        lin = 0.5 * (lin + lin.transpose(1, 0, 2))
-        quad = 0.5 * (quad + quad.transpose(1, 0, 2, 3))
-        quad = 0.5 * (quad + quad.transpose(0, 1, 3, 2))
+    amp = 0.3
+    const, lin = np.empty((nsample, 3, 3)), np.empty((nsample, 3, 3, 3))
+    quad, points = np.empty((nsample, 3, 3, 3, 3)), np.empty((nsample, 3))
+    for i in range(nsample):
+        c = rng.uniform(-amp, amp, (3, 3))
+        a = rng.uniform(-amp, amp, (3, 3, 3))
+        b = rng.uniform(-amp, amp, (3, 3, 3, 3))
+        const[i] = 0.5 * (c + c.transpose(1, 0))
+        lin[i] = 0.5 * (a + a.transpose(1, 0, 2))
+        b = 0.5 * (b + b.transpose(1, 0, 2, 3))
+        quad[i] = 0.5 * (b + b.transpose(0, 1, 3, 2))
+        points[i] = rng.uniform(-0.3, 0.3, 3)
 
-        def h_fun(pts):
-            return (const[None] + np.einsum("abc,nc->nab", lin, pts)
-                    + np.einsum("abcd,nc,nd->nab", quad, pts, pts))
+    def h_fun(pts):
+        """The family of perturbations, sample i on pts[i], (nsample, n, 3)."""
+        return (const[:, None] + np.einsum("sabc,snc->snab", lin, pts)
+                + np.einsum("sabcd,snc,snd->snab", quad, pts, pts))
 
-        point = rng.uniform(-0.3, 0.3, 3)
-        d2h = 2.0 * np.einsum("abcd->cdab", quad)
-        closed = linearized_ricci(d2h)
-        # Richardson pair in the family parameter: a single difference
-        # amplifies the curvature noise floor by 1/t, so use two steps
-        # with the t^2 term cancelled to keep both error sources small.
-        # That floor is the inner Ricci stencil's roundoff, which falls as
-        # 1/x_step^2: 1.1e-7 at the default x_step 1e-3, 8e-9 at 4e-3.
-        fd = richardson(fd_linearized_ricci(h_fun, point, t_step=2e-3, x_step=4e-3),
-                        fd_linearized_ricci(h_fun, point, t_step=1e-3, x_step=4e-3), 2)
-        scale = 1.0 + float(np.max(np.abs(closed)))
-        worst = np.maximum(worst, np.max(np.abs(fd - closed)) / scale)
-    return {"linearized_ricci_fd": _check(worst, 1e-6)}
+    closed = np.stack([linearized_ricci(2.0 * np.einsum("abcd->cdab", q)) for q in quad])
+    # Richardson pair in the family parameter: a single difference
+    # amplifies the curvature noise floor by 1/t, so use two steps with the
+    # t^2 term cancelled to keep both error sources small.  Both steps and
+    # every sample go through one set of stencils.
+    coarse_fine = fd_linearized_ricci(h_fun, points[:, None], t_step=np.array([2e-3, 1e-3]))
+    fd = richardson(coarse_fine[0], coarse_fine[1], 2)
+    return {"linearized_ricci_fd": _check(_worst_relative(fd, closed[:, None]), 1e-6)}
 
 
 def _suite_flux(rng, lmax, fast):

@@ -17,11 +17,16 @@ the trig rows; projection runs the same steps transposed.  The cost is
 O(lmax^3) per transform instead of the O(lmax^4) of a dense
 (nmodes x nnodes) product, and the dense tables are built only when asked
 for, as references.
+
+The Gauss-Legendre rule, the latitude factors and the trig rows depend
+only on the layout (lmax, nlat, nlon).  They are computed once per layout
+and shared, read-only, by every grid of that layout; a few recent layouts
+are kept.  Each grid is still its own object, with its own dense tables.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,7 +36,7 @@ from . import harmonics
 __all__ = ["SphereGrid", "build_grid"]
 
 # table -> (latitude factor, dphi): dphi picks the phi derivative of the trig
-# rows.  Together with the latitude factors of SphereGrid._factors this is
+# rows.  Together with the latitude factors of _layout this is
 # the one place where the derivative formulas live; dense tables, synthesis
 # and projection all read them from here.
 _TABLES = {
@@ -46,6 +51,51 @@ _TABLES = {
     "E1": ("E1", False),
     "E2": ("E2", True),
 }
+
+
+# layouts whose shared parts stay cached; at lmax 128 the latitude factors
+# alone take about 100 MB
+_LAYOUTS_KEPT = 8
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def _layout(lmax: int, nlat: int, nlon: int):
+    """The read-only parts of a grid fixed by its layout.
+
+    Returns the colatitudes and weights of the Gauss-Legendre rule, the
+    longitudes, the latitude factors as (lmax+1, lmax+1, nlat) blocks
+    indexed [|m|, l, lat] and the trig rows (lmax+1, 2, nlon), [m, 0] =
+    cos(m phi) and [m, 1] = sin(m phi), with their phi derivatives under
+    the key True.  The sqrt(2) of the m != 0 basis functions is folded
+    into the factors; entries with l < |m| are zero.
+    """
+    mu, wgl = leggauss(nlat)
+    theta = np.arccos(mu)
+    phi = 2.0 * np.pi * np.arange(nlon) / nlon
+
+    st = np.sin(theta)
+    cot = np.cos(theta) / st
+    N, dN = harmonics._normalized_legendre(lmax, theta)
+    deg = np.arange(lmax + 1)
+    scale = np.where(deg == 0, 1.0, np.sqrt(2.0))[:, None, None]
+    N = scale * N.transpose(1, 0, 2)
+    dN = scale * dN.transpose(1, 0, 2)
+    msq = (deg.astype(float) ** 2)[:, None, None]
+    lam = (deg * (deg + 1)).astype(float)[None, :, None]
+    # associated Legendre equation: N'' = -cot N' + (m^2/sin^2 - l(l+1)) N
+    d2N = -cot * dN + (msq / st ** 2 - lam) * N
+    factors = {"N": N, "dN": dN, "d2N": d2N, "N/sin": N / st,
+               "E1": d2N + 0.5 * lam * N,
+               # H12 = (d2Y/dtheta dphi - cot dY/dphi) / sin
+               "E2": (dN - cot * N) / st}
+
+    m = deg[:, None]
+    cos, sin = np.cos(m * phi), np.sin(m * phi)
+    trig = {False: np.stack([cos, sin], axis=1),
+            True: np.stack([-m * sin, m * cos], axis=1)}
+    for arr in (theta, wgl, phi, *factors.values(), *trig.values()):
+        arr.setflags(write=False)
+    return theta, wgl, phi, factors, trig
 
 
 class SphereGrid:
@@ -73,9 +123,9 @@ class SphereGrid:
         self.nlat = int(nlat)
         self.nlon = int(nlon)
 
-        mu, wgl = leggauss(self.nlat)
-        self._theta_1d = np.arccos(mu)
-        self._phi_1d = 2.0 * np.pi * np.arange(self.nlon) / self.nlon
+        # shared with every grid of this layout: see _layout
+        self._theta_1d, wgl, self._phi_1d, self._factors, self._trig = _layout(
+            self.lmax, self.nlat, self.nlon)
         self.theta = np.repeat(self._theta_1d, self.nlon)
         self.phi = np.tile(self._phi_1d, self.nlat)
         self.weights = np.repeat(wgl * (2.0 * np.pi / self.nlon), self.nlon)
@@ -102,43 +152,6 @@ class SphereGrid:
                     self.e_theta, self.e_phi, self.sin_theta, self.cos_theta,
                     self.ls, self.ms, self.lam):
             arr.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    # separable factors
-    # ------------------------------------------------------------------
-
-    @cached_property
-    def _factors(self) -> dict:
-        """Latitude factors as (lmax+1, lmax+1, nlat) blocks indexed [|m|, l, lat].
-
-        The sqrt(2) of the m != 0 basis functions is folded in; entries with
-        l < |m| are zero.
-        """
-        st = np.sin(self._theta_1d)
-        cot = np.cos(self._theta_1d) / st
-        N, dN = harmonics._normalized_legendre(self.lmax, self._theta_1d)
-        deg = np.arange(self.lmax + 1)
-        scale = np.where(deg == 0, 1.0, np.sqrt(2.0))[:, None, None]
-        N = scale * N.transpose(1, 0, 2)
-        dN = scale * dN.transpose(1, 0, 2)
-        msq = (deg.astype(float) ** 2)[:, None, None]
-        lam = (deg * (deg + 1)).astype(float)[None, :, None]
-        # associated Legendre equation: N'' = -cot N' + (m^2/sin^2 - l(l+1)) N
-        d2N = -cot * dN + (msq / st ** 2 - lam) * N
-        return {"N": N, "dN": dN, "d2N": d2N, "N/sin": N / st,
-                "E1": d2N + 0.5 * lam * N,
-                # H12 = (d2Y/dtheta dphi - cot dY/dphi) / sin
-                "E2": (dN - cot * N) / st}
-
-    @cached_property
-    def _trig(self) -> dict:
-        """Trig rows (lmax+1, 2, nlon): [m, 0] = cos(m phi), [m, 1] = sin(m phi);
-        under the key True their phi derivatives."""
-        m = np.arange(self.lmax + 1)[:, None]
-        mphi = m * self._phi_1d
-        cos, sin = np.cos(mphi), np.sin(mphi)
-        return {False: np.stack([cos, sin], axis=1),
-                True: np.stack([-m * sin, m * cos], axis=1)}
 
     def synth(self, table: str, coeffs: np.ndarray) -> np.ndarray:
         """coeffs @ table over leading batch axes, without building the table.

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -442,3 +444,15 @@ def test_tampered_multiplier_fails_verification(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert not payload["suites"]["multipliers"]["passed"]
+
+
+def test_importing_the_cli_loads_no_oracle():
+    """The oracles, and scipy.integrate with them, load only for verify
+    runs; cli.suites still resolves on first use."""
+    code = ("import sys, statvac.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy.integrate' or m.startswith('statvac.oracles'))); "
+            "print(statvac.cli.suites.SUITE_NAMES[0])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["[]", "moments"]

@@ -237,3 +237,23 @@ def test_harmonic_tables_match_the_per_mode_loop(lmax, angles):
 def test_dphi_coeffs_transpose_is_its_negative(grid8):
     D = grid8.dphi_coeffs(np.eye(grid8.nmodes))
     np.testing.assert_array_equal(D.T, -D)
+
+
+def test_grids_of_one_layout_share_their_read_only_factors():
+    """A second build of a layout reuses the Gauss-Legendre rule, the
+    latitude factors and the trig rows of the first, and nothing shared can
+    be written; each build is still a grid of its own."""
+    first, second = build_grid(7), build_grid(7)
+    assert first is not second
+    assert build_grid(7, nlon=17)._factors is not first._factors
+    assert first._theta_1d is second._theta_1d
+    for name in ("_factors", "_trig"):
+        mine, theirs = getattr(first, name), getattr(second, name)
+        assert mine.keys() == theirs.keys()
+        for key, arr in mine.items():
+            assert arr is theirs[key]
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+    for arr in (first._theta_1d, first._phi_1d, first.weights, first.nodes):
+        assert not arr.flags.writeable

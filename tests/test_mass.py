@@ -28,6 +28,7 @@ from statvac.mass import (
 )
 from statvac.oracles.sphere_variation import deformed_sphere_geometry, random_deformation
 from statvac.oracles.suites import _m2_quadrature, random_data
+from statvac.spherical import harmonics
 from statvac.spherical.fields import ScalarField, SymTensorField, TangentField
 from statvac.spherical.grid import build_grid
 
@@ -224,6 +225,36 @@ def test_small_sphere_masses_are_rotation_invariant(grid8, seed, tau):
     eps = base.diagnostics["epsilon_estimate"]
     assert abs(turned.m1 - base.m1) <= 1e-12 * eps
     assert abs(turned.m2 - base.m2) <= 1e-12 * eps ** 2
+
+
+def rotated(grid, coeffs, R):
+    """Coefficients of n -> u(R n) for a band-limited scalar u: sampled at
+    the rotated nodes and analyzed, which is exact at the grid's band."""
+    theta, phi = harmonics.angles_from_directions(grid.nodes @ R.T)
+    return grid.analyze(coeffs @ harmonics.harmonic_tables(grid.lmax, theta, phi,
+                                                           derivative=False))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lmax=st.integers(2, 12))
+def test_masses_of_general_data_are_rotation_invariant(seed, lmax):
+    """Turning the sphere by a rotation turns the trace, the trace-free
+    potentials p and q, and H1 as scalars, since the trace-free Hessian and
+    the rotation J commute with it; m1 and m2 must stay put.  A per-mode
+    multiplier that depended on m would break this."""
+    grid = build_grid(lmax)
+    rng = np.random.default_rng(seed)
+    data = random_perturbation(grid, rng)
+    R = Rotation.random(random_state=rng).as_matrix()
+    gamma = data.gamma1
+    turned = BartnikPerturbation(
+        SymTensorField(grid, ScalarField.from_coeffs(grid, rotated(grid, gamma.trace.coeffs, R)),
+                       rotated(grid, gamma.p_coeffs, R), rotated(grid, gamma.q_coeffs, R)),
+        ScalarField.from_coeffs(grid, rotated(grid, data.H1.coeffs, R)))
+    base, after = estimate(data), estimate(turned)
+    eps = data.epsilon_estimate
+    assert abs(after.m1 - base.m1) <= 1e-12 * eps
+    assert abs(after.m2 - base.m2) <= 1e-12 * eps ** 2
 
 
 @settings(max_examples=15, deadline=None)

@@ -13,6 +13,7 @@ from statvac.oracles import (
     MetricField,
     conformal_ricci,
     fd_jet,
+    fd_laplacian,
     fd_linearized_ricci,
     fd_ricci,
     fd_riemann,
@@ -395,6 +396,81 @@ def test_fd_gradient_on_cubic():
     assert hess2.shape == (2, 3, 3, 2)
     # the order-2 call evaluates a superset of the points, pointwise
     assert value2.tobytes() == value1.tobytes() and grad2.tobytes() == grad1.tobytes()
+
+
+def conformal_family(rng, nfam):
+    """A family of quadratic conformal factors, member i on pts[i], and
+    the same members one at a time."""
+    lin = rng.uniform(-0.2, 0.2, size=(nfam, 3))
+    quad = rng.uniform(-0.2, 0.2, size=(nfam, 3, 3))
+    quad = quad + quad.transpose(0, 2, 1)
+
+    def family(pts):
+        return (1.0 + (pts @ lin[:, :, None])[..., 0]
+                + np.einsum("sna,sab,snb->sn", pts, quad, pts))
+
+    def member(i):
+        return lambda pts: (1.0 + pts @ lin[i]
+                            + np.einsum("na,ab,nb->n", pts, quad[i], pts))
+
+    return family, [member(i) for i in range(nfam)]
+
+
+def test_family_axis_gives_each_member_its_own_bits(rng):
+    """One call over a family axis equals a call per member, bit for bit,
+    for the stencils, the Christoffel symbols and fd_ricci."""
+    family, members = conformal_family(rng, 4)
+    pts = rng.uniform(-0.3, 0.3, size=(4, 2, 3))
+    metric = MetricField.conformal(family)
+    singles = [MetricField.conformal(m) for m in members]
+    per_member = [fd_jet(m, p, 1e-3, order=2) for m, p in zip(members, pts)]
+    for part, ref in zip(fd_jet(family, pts, 1e-3, order=2), zip(*per_member)):
+        assert part.tobytes() == np.stack(ref).tobytes()
+    gam = metric.christoffel(pts, force_fd=True)
+    assert gam.shape == (4, 2, 3, 3, 3)
+    assert gam.tobytes() == np.stack([m.christoffel(p, force_fd=True)
+                                      for m, p in zip(singles, pts)]).tobytes()
+    ric = fd_ricci(metric, pts)
+    assert ric.shape == (4, 2, 3, 3)
+    assert ric.tobytes() == np.stack([fd_ricci(m, p) for m, p in zip(singles, pts)]).tobytes()
+
+
+def test_fd_laplacian_is_the_trace_of_the_jet_hessian(rng):
+    """Bit for bit at each step, from one call on the axial points only."""
+    widths = []
+
+    def fun(pts):
+        widths.append(pts.shape[0])
+        x, y, z = pts.T
+        return np.stack([np.sin(x) * np.exp(y) * z, x * x * y - np.cos(z)], axis=1)
+
+    pts = rng.uniform(-0.5, 0.5, size=(5, 3))
+    steps = (0.02, 0.01)
+    lap = fd_laplacian(fun, pts, steps)
+    assert widths == [5 * 25] and lap.shape == (2, 5, 2)
+    for h, got in zip(steps, lap):
+        hess = fd_jet(fun, pts, h, order=2)[2]
+        assert got.tobytes() == np.trace(hess, axis1=1, axis2=2).tobytes()
+
+
+def test_linearized_ricci_takes_every_step_in_one_call(rng):
+    """An array of t steps gives the steps' results in front, each equal to
+    its own call; h is evaluated once for every t, on the Christoffel
+    stencils and then at the point itself."""
+    A = rng.normal(size=(3, 3, 3, 3)) * 0.3
+    A = A + np.swapaxes(A, 0, 1)
+    A = A + np.swapaxes(A, 2, 3)
+    widths = []
+
+    def h_fun(pts):
+        widths.append(pts.shape)
+        return np.einsum("abij,ni,nj->nab", A, pts, pts)
+
+    point = np.array([0.15, -0.2, 0.1])
+    both = fd_linearized_ricci(h_fun, point, t_step=np.array([2e-3, 1e-3]))
+    assert both.shape == (2, 3, 3) and widths == [(169, 3), (1, 3)]
+    for got, t in zip(both, (2e-3, 1e-3)):
+        assert got.tobytes() == fd_linearized_ricci(h_fun, point, t_step=t).tobytes()
 
 
 def test_richardson_cancels_the_leading_error():

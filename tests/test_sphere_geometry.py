@@ -78,6 +78,39 @@ def test_geometry_does_not_depend_on_the_coordinates(grid12):
     assert np.max(np.abs(flat[3] - np.einsum("nca,na->nc", jac, pulled[3]))) < 2e-13
 
 
+def test_batched_spheres_keep_each_sphere_bits(grid12):
+    """Leading batch axes, and one embedding read in several metrics, give
+    each sphere the bits of its own call."""
+    rng = np.random.default_rng(5)
+    n = grid12.nnodes
+    ys = 0.8 * grid12.nodes + rng.uniform(-0.05, 0.05, size=(3, n, 3))
+    ycoef = grid12.analyze(np.moveaxis(ys, -1, 0))
+    b = rng.uniform(-0.2, 0.2, size=(3, 3, 3, 3))
+    b = b + b.transpose(0, 1, 3, 2)
+    dg = np.broadcast_to(b[:, None], (3, n, 3, 3, 3))
+    g = np.eye(3) + np.einsum("scab,nc->snab", b, ys[0])
+    batched = embedded_sphere_geometry(grid12, ycoef, g, dg)
+    shared = embedded_sphere_geometry(grid12, ycoef[:, 0], g, dg)
+    for i in range(3):
+        one = embedded_sphere_geometry(grid12, ycoef[:, i], g[i], dg[i])
+        same = embedded_sphere_geometry(grid12, ycoef[:, 0], g[i], dg[i])
+        for got, want in ((batched, one), (shared, same)):
+            assert np.stack(got[0])[:, i].tobytes() == np.stack(want[0]).tobytes()
+            for part in (1, 2, 3):
+                assert got[part][i].tobytes() == want[part].tobytes()
+
+
+def test_deformed_spheres_at_several_times_match_one_at_a_time(grid8):
+    params = random_deformation(grid8, np.random.default_rng(2))
+    ts = (0.0, 0.01, -0.02)
+    (c11, c12, c22), h = sphere_variation._deformed_geometry(params, ts)
+    for i, t in enumerate(ts):
+        gamma, H = deformed_sphere_geometry(params, t)
+        assert H.values.tobytes() == h[i].tobytes()
+        assert gamma.trace.values.tobytes() == (c11[i] + c22[i]).tobytes()
+        assert gamma.t2.tobytes() == c12[i].tobytes()
+
+
 def test_each_sphere_oracle_reaches_the_one_routine(grid8, grid12, rng, monkeypatch):
     calls = []
     original = sphere_variation.embedded_sphere_geometry
@@ -96,5 +129,5 @@ def test_each_sphere_oracle_reaches_the_one_routine(grid8, grid12, rng, monkeypa
     mass_variation_identity(lambda pts: np.eye(3) + pts[:, :, None] * pts[:, None, :],
                             grid12)
     reached.append(len(calls))
-    # one sphere each, and the flux identity's four values of t
-    assert reached == [1, 2, 6]
+    # one sphere each, and the flux identity's four values of t in one call
+    assert reached == [1, 2, 3]

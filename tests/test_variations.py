@@ -148,16 +148,18 @@ def test_conformal_probe_matches_the_closed_curve():
 
 
 def test_conformal_probe_builds_each_of_its_five_spheres_once(monkeypatch):
-    times = []
-    original = sphere_variation.deformed_sphere_geometry
+    """All five values of t go through one batched geometry call."""
+    calls = []
+    original = sphere_variation._deformed_geometry
 
-    def counted(params, t):
-        times.append(t)
-        return original(params, t)
+    def counted(params, ts):
+        calls.append(ts)
+        return original(params, ts)
 
-    monkeypatch.setattr(sphere_variation, "deformed_sphere_geometry", counted)
+    monkeypatch.setattr(sphere_variation, "_deformed_geometry", counted)
     conformal_probe_check(lmax=6, steps=(2e-3, 1e-3))
-    assert sorted(times) == [-2e-3, -1e-3, 0.0, 1e-3, 2e-3]
+    assert len(calls) == 1
+    assert sorted(calls[0]) == [-2e-3, -1e-3, 0.0, 1e-3, 2e-3]
 
 
 def test_mass_variation_identity_differences_gdot_once(grid12, monkeypatch):
