@@ -227,8 +227,8 @@ def run_small_sphere(config: RunConfig) -> str:
 
 
 def __getattr__(name):
-    # ``cli.suites`` resolves on first use: the oracle suites, and with them
-    # scipy.integrate, load only when a verify run needs them
+    # ``cli.suites`` resolves on first use: the oracle suites load only
+    # when a verify run needs them
     if name == "suites":
         from .oracles import suites
         return suites

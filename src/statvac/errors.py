@@ -1,8 +1,8 @@
 """Exceptions shared by the library, the oracles and the command line.
 
 They live outside the ``oracles`` package so that the command line can
-catch an oracle failure without importing the oracles, and with them
-``scipy.integrate``, on modes that run none.
+catch an oracle failure without importing the oracles on modes that run
+none.
 """
 
 __all__ = ["NumericalFailure"]

@@ -10,16 +10,16 @@ tangents, and its second derivatives enter the second fundamental form.
 Nothing here touches the curvature-jet pipeline, so agreement of the two
 data sets to fifth order in tau is a meaningful regression target.
 
-All geodesics are integrated as a single system with scipy's DOP853, the
-8th-order Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I,
-II.10).  The adaptive integrator then uses one shared step sequence, which
-makes the integration error a smooth function of the initial direction;
-the spectral derivatives in angle need that smoothness, since an error
-that jumped from node to node would leak into every band.  The first trial
-step is the whole radius: the embedded error estimate accepts or rejects
-it like any other step (ibid. II.4), and on small spheres one step passes,
-which saves the evaluations of scipy's initial-step heuristic and of the
-short steps it proposes.  The right-hand
+All geodesics are integrated as a single system with the 8th-order
+Dormand-Prince pair of ``dop853`` (Hairer, Norsett & Wanner, Solving ODEs
+I, II.10).  The adaptive integrator then uses one shared step sequence,
+which makes the integration error a smooth function of the initial
+direction; the spectral derivatives in angle need that smoothness, since
+an error that jumped from node to node would leak into every band.  The
+first trial step is the whole radius: the embedded error estimate accepts
+or rejects it like any other step (ibid. II.4), and on small spheres one
+step passes, which saves the evaluations of an initial-step heuristic and
+of the short steps it would propose.  The right-hand
 side is ``MetricField.geodesic_acceleration``, which contracts the metric
 derivatives with the velocities as component products summed in a fixed
 order, never forming the Christoffel symbols; its bits do not depend on
@@ -29,7 +29,6 @@ the memory layout of the metric callable's output.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from ..boundary import BartnikPerturbation
 from ..curvature import CurvatureJet, jet_from_arrays
@@ -37,6 +36,7 @@ from ..errors import NumericalFailure
 from ..spherical.fields import ScalarField, SymTensorField
 from ..spherical.grid import SphereGrid
 from .curvature_fd import fd_ricci
+from .dop853 import integrate
 from .metricfield import MetricField, fd_jet
 from .sphere_variation import embedded_sphere_geometry
 
@@ -120,6 +120,8 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         raise ValueError("tau must be positive, with a finite square")
 
     g0 = metric(center[None])[0]
+    if not np.all(np.isfinite(g0)):
+        raise NumericalFailure("metric is not finite at the center")
     evals, evecs = np.linalg.eigh(g0)
     if np.min(evals) <= 0.0:
         raise NumericalFailure("metric is not positive definite at the center")
@@ -130,31 +132,16 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     n = grid.nnodes
     state0 = np.concatenate([pos0.ravel(), vel0.ravel()])
 
-    def rhs(_t, state):
+    def rhs(state):
         pos = state[: 3 * n].reshape(n, 3)
         vel = state[3 * n:].reshape(n, 3)
         acc = metric.geodesic_acceleration(pos, vel)
         return np.concatenate([vel.ravel(), acc.ravel()])
 
-    # solve_ivp's stepping loop, keeping only the final state
-    solver = None
     try:
-        solver = DOP853(rhs, 0.0, state0, tau, rtol=rtol, atol=atol, first_step=tau)
-        num_steps = 1  # accepted steps plus the initial point
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise NumericalFailure("geodesic integration failed: " + message)
-            num_steps += 1
-        state, nfev = solver.y, solver.nfev
-    except np.linalg.LinAlgError as exc:
+        state, nfev, nstep = integrate(rhs, state0, tau, rtol=rtol, atol=atol)
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"geodesic integration failed: {exc}") from exc
-    finally:
-        # the solver's counting wrapper of rhs closes over the solver; this
-        # reference cycle would keep its step arrays alive until a full
-        # collection, so empty the solver to free them now
-        if solver is not None:
-            vars(solver).clear()
     y0 = state[: 3 * n].reshape(n, 3)
     v_end = state[3 * n:].reshape(n, 3)
 
@@ -177,7 +164,7 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
         diagnostics["spectral_tail"] = float(np.linalg.norm(
             ycoef[:, grid.ls == grid.lmax]))
         diagnostics["min_det"] = float(np.min(det))
-        diagnostics["num_steps"] = num_steps
+        diagnostics["num_steps"] = nstep + 1  # accepted steps plus the initial point
         diagnostics["nfev"] = nfev
 
     gamma1 = SymTensorField.from_components(grid, c11, c12, c22)

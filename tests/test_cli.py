@@ -456,3 +456,14 @@ def test_importing_the_cli_loads_no_oracle():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.split("\n")
     assert out[:2] == ["[]", "moments"]
+
+
+def test_the_package_loads_no_scipy():
+    """scipy is a test dependency only: neither the command line nor the
+    oracle suites, geodesic integration included, import any of it."""
+    code = ("import sys, statvac.cli, statvac.oracles.suites; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import DOP853
 
 from statvac.curvature import CurvatureJet, small_sphere_data
-from statvac.oracles import geodesic
+from statvac.oracles import dop853, geodesic
 from statvac.oracles import (
     MetricField,
     NumericalFailure,
@@ -174,24 +174,87 @@ def data_gap(a, b):
     return max(float(np.max(np.abs(x - y))) for x, y in pairs)
 
 
+def scipy_dop853(fun, y0, t_end, first_step, *, rtol, atol):
+    """The stepper's contract run by scipy's DOP853, the independent reference."""
+    solver = DOP853(lambda _t, y: fun(y), 0.0, y0, t_end, rtol=rtol, atol=atol,
+                    first_step=first_step)
+    nstep = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise NumericalFailure(message)
+        nstep += 1
+    return solver.y, solver.nfev, nstep
+
+
 def test_default_tolerances_track_a_tight_reference(monkeypatch):
     """The whole-radius first step keeps the data within 3e-13 of a tight
-    integration (rtol 2.3e-14, atol 1e-17, first step tau/32) up to
-    tau 0.05, and within 2e-12 at tau 0.08."""
+    scipy integration of the same right-hand side (rtol 2.3e-14, atol
+    1e-17, first step tau/32) up to tau 0.05, and within 2e-12 at tau 0.08."""
     grid = build_grid(12)
 
-    def short_first_step(*args, **kwargs):
-        return DOP853(*args, **{**kwargs, "first_step": kwargs["first_step"] / 32})
+    def short_first_step(fun, y0, t_end, **tols):
+        return scipy_dop853(fun, y0, t_end, t_end / 32, **tols)
 
     for seed in range(3):
         metric = random_polynomial_metric(np.random.default_rng(seed), amplitude=0.5)
         for tau, bound in ((0.005, 3e-13), (0.03, 3e-13), (0.05, 3e-13), (0.08, 2e-12)):
             data = geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, grid)
             with monkeypatch.context() as patch:
-                patch.setattr(geodesic, "DOP853", short_first_step)
+                patch.setattr(geodesic, "integrate", short_first_step)
                 ref = geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, grid,
                                       rtol=2.3e-14, atol=1e-17)
             assert data_gap(data, ref) < bound, (seed, tau)
+
+
+def geodesic_system(monkeypatch, metric, tau):
+    """The arguments of geodesic_sphere's one integration at lmax 8."""
+    seen = []
+
+    def record(*args, **tols):
+        seen.append((args, tols))
+        return dop853.integrate(*args, **tols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geodesic, "integrate", record)
+        try:
+            geodesic_sphere(metric, (0.0, 0.0, 0.0), tau, build_grid(8))
+        except NumericalFailure:
+            pass
+    (fun, y0, t_end), tols = seen[0]
+    return fun, y0, t_end, tols
+
+
+def test_stepper_matches_scipy_dop853_bitwise(monkeypatch):
+    """Final state, evaluations and steps equal scipy's DOP853 started
+    with the whole interval as its first step."""
+    def effort(fun, y0, t_end, **tols):
+        y, nfev, nstep = dop853.integrate(fun, y0, t_end, **tols)
+        y_ref, nfev_ref, nstep_ref = scipy_dop853(fun, y0, t_end, t_end, **tols)
+        assert np.array_equal(y, y_ref)
+        assert (nfev, nstep) == (nfev_ref, nstep_ref)
+        return nfev, nstep
+
+    metric = random_polynomial_metric(np.random.default_rng(0), amplitude=0.5)
+    fun, y0, tau, default = geodesic_system(monkeypatch, metric, 0.08)
+    assert effort(fun, y0, tau, rtol=2.3e-14, atol=1e-17)[1] > 2
+    # the whole radius is rejected once, then two steps pass
+    assert effort(fun, y0, tau, **default) == (1 + 12 * 3, 2)
+    # an oscillator's first step shrinks so far that the next one passes
+    # with room to grow, which the step right after a rejection may not do
+    effort(lambda y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), 2.0,
+           rtol=1e-12, atol=1e-14)
+    # scipy raises an rtol below 100 machine epsilons to that, with a warning
+    with pytest.warns(UserWarning, match="rtol"):
+        effort(fun, y0, tau, rtol=1e-16, atol=1e-17)
+
+    fun, y0, tau, tols = geodesic_system(
+        monkeypatch, metric_beyond(0.02, np.eye(3), np.nan), 0.1)
+    with pytest.raises(NumericalFailure) as ours:
+        dop853.integrate(fun, y0, tau, **tols)
+    with pytest.raises(NumericalFailure) as ref:
+        scipy_dop853(fun, y0, tau, tau, **tols)
+    assert str(ours.value) == str(ref.value) == dop853.TOO_SMALL_STEP
 
 
 def test_geodesic_sphere_validation():
@@ -221,16 +284,29 @@ def test_indefinite_metric_is_a_numerical_failure():
                         0.1, grid)
 
 
+def test_non_finite_metric_at_the_center_is_a_numerical_failure():
+    def fun(pts):
+        g = np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
+        g[np.all(pts == 0.0, axis=1), 2, 2] = np.nan
+        return g
+
+    with pytest.raises(NumericalFailure, match="not finite at the center"):
+        geodesic_sphere(MetricField(fun, label="nan center"), (0.0, 0.0, 0.0),
+                        0.1, build_grid(4))
+
+
 def test_geodesic_sphere_frees_its_solver_without_a_collection():
+    """The integration leaves no reference cycle behind, so its stage
+    arrays go as soon as the call returns, not at the next collection."""
     gc.collect()
     gc.disable()
     try:
         geodesic_sphere(MetricField.space_form(0.6), (0.0, 0.0, 0.0), 0.1,
                         build_grid(4))
-        alive = [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+        unreachable = gc.collect()
     finally:
         gc.enable()
-    assert alive == []
+    assert unreachable == 0
 
 
 def metric_beyond(radius, g_outside, dg_outside):
