@@ -59,10 +59,6 @@ class HarmonicExterior:
         self.grid = grid
         self.coeffs = coeffs
 
-    @classmethod
-    def zeros(cls, grid: SphereGrid) -> "HarmonicExterior":
-        return cls(grid, np.zeros(grid.nmodes))
-
     def trace(self) -> ScalarField:
         return ScalarField.from_coeffs(self.grid, self.coeffs)
 

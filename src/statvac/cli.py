@@ -94,6 +94,9 @@ def _check_config(config: RunConfig) -> None:
     for tau in config.tau:
         if not (tau > 0.0 and math.isfinite(tau)):
             raise io.SchemaError("tau values must be positive and finite")
+    if config.mode == "fields" and len(config.tau) > 1:
+        raise io.SchemaError("fields mode takes a single --tau; give each "
+                             'case its own radius with its "tau" key')
     if config.mode in ("verify", "moments") and config.format == "csv":
         raise io.SchemaError("csv output is only available for fields and "
                              "small-sphere runs")
@@ -156,7 +159,16 @@ def run_fields(config: RunConfig) -> str:
         where = f"input.cases[{pos}]" if sweep else "input"
         data = io.data_from_dict(case, grid, where=where)
         tau = io.case_tau(case, where)
-        report = mass.estimate(data, tau=tau if tau is not None else default_tau)
+        try:
+            with np.errstate(over="raise"):
+                report = mass.estimate(data, tau=tau if tau is not None else default_tau)
+            # the totals are Python float sums and products, which overflow silently
+            scaled = report.tau_scaled_total
+            if not math.isfinite(report.total if scaled is None else scaled):
+                raise OverflowError
+        except (OverflowError, FloatingPointError):
+            raise io.SchemaError(f"{where}: data too large: the mass report "
+                                 "overflows") from None
         _gate_residuals(report)
         reports.append(report)
 

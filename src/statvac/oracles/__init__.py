@@ -11,7 +11,6 @@ from .curvature_fd import (
     conformal_ricci,
     fd_linearized_ricci,
     fd_ricci,
-    fd_riemann,
     linearized_ricci,
 )
 from ..errors import NumericalFailure
@@ -46,7 +45,6 @@ __all__ = [
     "fd_laplacian",
     "richardson",
     "random_polynomial_metric",
-    "fd_riemann",
     "fd_ricci",
     "conformal_ricci",
     "linearized_ricci",

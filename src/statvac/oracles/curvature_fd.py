@@ -1,6 +1,6 @@
 """Curvature by finite differences, plus two closed-form cross-checks.
 
-fd_riemann differentiates Christoffel symbols of a MetricField with
+fd_ricci differentiates Christoffel symbols of a MetricField with
 4th-order central differences and assembles the curvature tensor in the
 sign convention used throughout the package: the (0,4) tensor is
 
@@ -11,13 +11,13 @@ whose trace over the outer slots gives a Ricci tensor that is positive
 on round spheres.  Everything here is an oracle: no spectral machinery,
 no reconstruction formulas, only stencils and the definitions.
 
-fd_riemann and fd_ricci take one point, shape (3,), or a batch, shape
-(npts, 3); a batch gathers the stencils of all its points into a single
-Christoffel evaluation, so the metric callable must accept any (npts, 3)
-batch.  A single point is the batch of one.  fd_ricci and
-fd_linearized_ricci also take leading family axes, (..., npts, 3), for a
-metric callable that broadcasts one parameter set per family entry (see
-metricfield): a suite's samples then share one set of stencil calls.
+fd_ricci takes one point, shape (3,), or a batch, shape (npts, 3); a
+batch gathers the stencils of all its points into a single Christoffel
+evaluation, so the metric callable must accept any (npts, 3) batch.  A
+single point is the batch of one.  fd_ricci and fd_linearized_ricci
+also take leading family axes, (..., npts, 3), for a metric callable
+that broadcasts one parameter set per family entry (see metricfield): a
+suite's samples then share one set of stencil calls.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ..curvature import Riemann3
 from .metricfield import MetricField, fd_jet
 
 __all__ = [
-    "fd_riemann",
     "fd_ricci",
     "conformal_ricci",
     "linearized_ricci",
@@ -70,28 +69,16 @@ def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float):
     return np.einsum("nabce,ned->nabcd", upper, g), g
 
 
-def fd_riemann(metric: MetricField, points, step: float = 1e-3):
-    """Riemann tensor of an ambient metric by differences.
-
-    Christoffel symbols are themselves computed from finite differences
-    of the metric callable, so the result never touches an analytic
-    gradient that closed-form code might share.  Returns a Riemann3 for a
-    point of shape (3,) and a list of them for points of shape (npts, 3).
-    """
-    dense, _ = _fd_riemann_dense(metric, _as_batch(points), step)
-    if np.ndim(points) == 1:
-        return Riemann3.from_dense(dense[0])
-    return [Riemann3.from_dense(d) for d in dense]
-
-
 def fd_ricci(metric: MetricField, points, step: float = 1e-3) -> np.ndarray:
     """Coordinate Ricci components from the finite-difference Riemann tensor.
 
-    The contraction uses the inverse metric at each point; the plain
-    ``Riemann3.ricci`` helper assumes an orthonormal frame and would be
-    wrong wherever g differs from the identity.  Returns shape (3, 3) for
-    a point of shape (3,) and (..., npts, 3, 3) for points of shape
-    (..., npts, 3).
+    Christoffel symbols are themselves computed from finite differences
+    of the metric callable, so the result never touches an analytic
+    gradient that closed-form code might share.  The contraction uses the
+    inverse metric at each point; the plain ``Riemann3.ricci`` helper
+    assumes an orthonormal frame and would be wrong wherever g differs
+    from the identity.  Returns shape (3, 3) for a point of shape (3,)
+    and (..., npts, 3, 3) for points of shape (..., npts, 3).
     """
     base = _as_batch(points)
     dense, g = _fd_riemann_dense(metric, base, step)
@@ -140,8 +127,7 @@ def linearized_ricci(d2h: np.ndarray) -> np.ndarray:
     return 0.5 * (t1 + t2 - t3 - t4)
 
 
-def fd_linearized_ricci(h_fun, points, t_step=1e-4,
-                        x_step: float = 4e-3) -> np.ndarray:
+def fd_linearized_ricci(h_fun, points, t_step=1e-4) -> np.ndarray:
     """d/dt Ric(delta + t h) at t = 0 by central differences in t.
 
     Points are (3,), with a (3, 3) result, or (..., npts, 3), with
@@ -153,10 +139,11 @@ def fd_linearized_ricci(h_fun, points, t_step=1e-4,
     every t, and the result has the steps' axes in front.
 
     The inner Ricci stencil's roundoff, divided by t, sets a noise floor
-    that falls as 1/x_step**2: the ``linearized`` suite's seed-0 residual,
-    from the Richardson pair of t steps (2e-3, 1e-3), reads 1.1e-7,
-    2.7e-8, 8.4e-9 and 2.4e-9 at x_step 1e-3, 2e-3, 4e-3 and 8e-3.  Used
-    to check linearized_ricci without sharing any formula with it.
+    that falls as the square of its spatial step, fixed here at 4e-3: the
+    ``linearized`` suite's seed-0 residual, from the Richardson pair of t
+    steps (2e-3, 1e-3), reads 1.1e-7, 2.7e-8, 8.4e-9 and 2.4e-9 at spatial
+    steps 1e-3, 2e-3, 4e-3 and 8e-3.  Used to check linearized_ricci
+    without sharing any formula with it.
     """
     base = _as_batch(points)
     t_step = np.asarray(t_step, dtype=float)
@@ -166,6 +153,6 @@ def fd_linearized_ricci(h_fun, points, t_step=1e-4,
     def fun(pts):  # the t axes in front repeat the same points
         return np.eye(3) + t_col * np.asarray(h_fun(pts[(0,) * ts.ndim]))
 
-    ric = fd_ricci(MetricField(fun), np.broadcast_to(base, ts.shape + base.shape), step=x_step)
+    ric = fd_ricci(MetricField(fun), np.broadcast_to(base, ts.shape + base.shape), step=4e-3)
     out = (ric[0] - ric[1]) / (2.0 * t_col[0])
     return out[..., 0, :, :] if np.ndim(points) == 1 else out

@@ -172,8 +172,7 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     return BartnikPerturbation(gamma1=gamma1, H1=h_field)
 
 
-def jet_from_metric(metric: MetricField, center, *, step: float = 0.025,
-                    curv_step: float = 1e-3) -> CurvatureJet:
+def jet_from_metric(metric: MetricField, center) -> CurvatureJet:
     """Curvature jet at a point by nested finite differences of Ricci.
 
     The center must be a point where the first derivatives of the metric
@@ -182,17 +181,18 @@ def jet_from_metric(metric: MetricField, center, *, step: float = 0.025,
     and at second order differ only by first-derivative-of-Christoffel
     terms, which are corrected explicitly.
 
-    The default outer step balances fourth-order truncation against the
-    noise floor of the inner curvature differences divided by step
-    squared; both sit near 1e-6 on unit-scale metrics.
+    The outer step, 0.025, balances fourth-order truncation against the
+    noise floor of the inner curvature differences (step 1e-3) divided by
+    the outer step squared; both sit near 1e-6 on unit-scale metrics.
     """
+    step = 0.025
     center = np.asarray(center, dtype=float).reshape(3)
     gam0, dgam = fd_jet(metric.christoffel, center, step)
     if np.max(np.abs(gam0)) > 1e-8:
         raise ValueError("jet extraction needs a center where the metric "
                          "first derivatives vanish")
 
-    ric0, dric, d2 = fd_jet(lambda pts: fd_ricci(metric, pts, step=curv_step),
+    ric0, dric, d2 = fd_jet(lambda pts: fd_ricci(metric, pts, step=1e-3),
                             center, step, order=2)
     ric0, dric, d2, dgam = ric0[0], dric[0], d2[0], dgam[0]
 

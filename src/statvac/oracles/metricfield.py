@@ -157,10 +157,9 @@ def _inverse3(g: np.ndarray) -> np.ndarray:
 class MetricField:
     """Vectorized ambient metric x -> g(x) with optional exact gradient."""
 
-    def __init__(self, fun, grad=None, label: str = "metric"):
+    def __init__(self, fun, grad=None):
         self._fun = fun
         self._grad = grad
-        self.label = label
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -169,12 +168,12 @@ class MetricField:
             raise ValueError("metric callable must return (..., npts, 3, 3)")
         return g
 
-    def gradient(self, points: np.ndarray, step: float = 1e-3) -> np.ndarray:
-        """dg[n, c, a, b] = d g_ab / d x^c, exact if available, else FD."""
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """dg[n, c, a, b] = d g_ab / d x^c, exact if available, else FD with step 1e-3."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self._grad is not None:
             return np.asarray(self._grad(points), dtype=float)
-        return fd_jet(self, points, step)[1]
+        return fd_jet(self, points, 1e-3)[1]
 
     def christoffel(self, points: np.ndarray, step: float = 1e-3,
                     force_fd: bool = False) -> np.ndarray:
@@ -221,17 +220,7 @@ class MetricField:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def euclidean(cls) -> "MetricField":
-        def fun(pts):
-            return np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
-
-        def grad(pts):
-            return np.zeros((pts.shape[0], 3, 3, 3))
-
-        return cls(fun, grad, label="euclidean")
-
-    @classmethod
-    def conformal(cls, rho, drho=None, label: str = "conformal") -> "MetricField":
+    def conformal(cls, rho, drho=None) -> "MetricField":
         """g = rho(x) * delta for a positive scalar callable rho."""
 
         def fun(pts):
@@ -244,7 +233,7 @@ class MetricField:
                 dv = np.asarray(drho(pts), dtype=float)
                 return dv[..., None, None] * np.eye(3)
 
-        return cls(fun, grad, label=label)
+        return cls(fun, grad)
 
     @classmethod
     def space_form(cls, k: float) -> "MetricField":
@@ -259,11 +248,10 @@ class MetricField:
             base = (1.0 + 0.25 * k * r2) ** (-3.0)
             return -k * base[:, None] * pts
 
-        return cls.conformal(rho, drho, label=f"space_form(k={k})")
+        return cls.conformal(rho, drho)
 
     @classmethod
-    def polynomial(cls, lin=None, quad=None, cubic=None,
-                   label: str = "polynomial") -> "MetricField":
+    def polynomial(cls, lin=None, quad=None, cubic=None) -> "MetricField":
         """g_ab = delta_ab + lin[a,b,i] x_i + quad[a,b,i,j] x_i x_j + cubic[...].
 
         Coefficient arrays are symmetrized in (a, b) and in the monomial
@@ -325,11 +313,10 @@ class MetricField:
                 dg[c] += coeff * mono[rest]
             return dg[:, _SYM_GATHER].reshape(27, -1).T.reshape(-1, 3, 3, 3)
 
-        return cls(fun, grad, label=label)
+        return cls(fun, grad)
 
 
-def random_polynomial_metric(rng: np.random.Generator, amplitude: float = 0.5,
-                             degree: int = 3) -> MetricField:
+def random_polynomial_metric(rng: np.random.Generator, amplitude: float = 0.5) -> MetricField:
     """Random polynomial metric equal to delta at the origin.
 
     The linear part is omitted so that the Cartesian frame at the origin
@@ -337,5 +324,5 @@ def random_polynomial_metric(rng: np.random.Generator, amplitude: float = 0.5,
     are kept small enough for positivity on the unit ball.
     """
     quad = rng.uniform(-amplitude, amplitude, size=(3, 3, 3, 3))
-    cubic = rng.uniform(-amplitude, amplitude, size=(3, 3, 3, 3, 3)) if degree >= 3 else None
-    return MetricField.polynomial(quad=quad, cubic=cubic, label="random_polynomial")
+    cubic = rng.uniform(-amplitude, amplitude, size=(3, 3, 3, 3, 3))
+    return MetricField.polynomial(quad=quad, cubic=cubic)

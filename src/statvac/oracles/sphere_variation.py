@@ -13,11 +13,12 @@ embeds the unit sphere into R^3, and the ambient metric is rho_t * delta
 with the conformal factor carried along the flow of the deformation, so
 that its value on the deformed surface is 1 + t v(x) with v the boundary
 trace of the decaying harmonic function, and its gradient there is the
-gradient of v pulled through the inverse flow.  The induced metric and
-mean curvature of y_t in that metric are differentiated in t by
-Richardson-extrapolated central differences, and the closed-form first and
-second t-derivatives that the mass expansion relies on are compared
-against those differences.
+gradient of v pulled through the inverse flow.
+``deformed_sphere_geometry(params, ts)`` returns the induced metric and
+mean curvature of y_t in that metric at every t of ``ts`` from one
+geometry call.  They are differentiated in t by Richardson-extrapolated
+central differences, and the closed-form first and second t-derivatives
+that the mass expansion relies on are compared against those differences.
 
 Sign convention: the round unit sphere has mean curvature -2, and the
 normal points toward the unbounded component.
@@ -33,7 +34,7 @@ import numpy as np
 from ..boundary import HarmonicExterior
 from ..errors import NumericalFailure
 from ..spherical import operators
-from ..spherical.fields import ScalarField, SymTensorField, TangentField
+from ..spherical.fields import ScalarField, TangentField
 from ..spherical.grid import SphereGrid, build_grid
 from .metricfield import _inverse3, fd_jet, richardson
 
@@ -197,10 +198,15 @@ def random_deformation(grid: SphereGrid, rng: np.random.Generator,
     return DeformationParams(f=f, X=X, vperp=v)
 
 
-def _deformed_geometry(params: DeformationParams, ts):
-    """Frame components (c11, c12, c22) of the induced metric and the mean
-    curvature of the deformed spheres at each t of ``ts``, all from one
-    geometry call; each is a (len(ts), nnodes) array of node values."""
+def deformed_sphere_geometry(params: DeformationParams, ts):
+    """Induced metric and mean curvature of the deformed spheres at each t of ``ts``.
+
+    Returns ((c11, c12, c22), h): the frame components of the induced
+    metric and the mean curvature, each a (len(ts), nnodes) array of node
+    values on the parameter grid, all from one geometry call.  The grid's
+    band limit must comfortably exceed the band of the parameters,
+    because the embedding components are differentiated spectrally.
+    """
     grid = params.grid
     t = np.asarray(ts, dtype=float).reshape(-1, 1)  # against the nodes
     y = (1.0 + t * params.f.values)[..., None] * grid.nodes + t[..., None] * params.x_ambient
@@ -225,20 +231,6 @@ def _deformed_geometry(params: DeformationParams, ts):
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise ValueError("deformed surface is degenerate at this t") from exc
     return (c11, c12, c22), h
-
-
-def deformed_sphere_geometry(params: DeformationParams, t: float):
-    """Induced metric and mean curvature of the deformed sphere at time t.
-
-    Returns (gamma, H) on the parameter grid: gamma as a SymTensorField in
-    the orthonormal frame and H as a ScalarField.  The grid's band limit
-    must comfortably exceed the band of the parameters, because the
-    embedding components are differentiated spectrally.
-    """
-    (c11, c12, c22), h = _deformed_geometry(params, [t])
-    grid = params.grid
-    gamma = SymTensorField.from_components(grid, c11[0], c12[0], c22[0])
-    return gamma, ScalarField.from_values(grid, h[0])
 
 
 def first_variation(params: DeformationParams):
@@ -297,25 +289,23 @@ def second_variation(params: DeformationParams):
     return tr_second, h_second
 
 
-def variation_check(params: DeformationParams, steps=(8e-3, 4e-3)) -> dict:
+def variation_check(params: DeformationParams) -> dict:
     """Compare closed-form variations against Richardson differences.
 
     The parameters are re-expanded on a working grid with twice the band
     plus margin so that all spectral differentiations of the embedding are
-    exact, then tr(gamma_t) and H_t are differenced in t.  The default
-    steps sit where the t^4 truncation is still negligible but the sphere
-    transform roundoff, amplified by 1/step^2 in the second difference,
-    has dropped well below the closed-form target accuracy.
+    exact, then tr(gamma_t) and H_t are differenced in t.  The Richardson
+    pair of steps (8e-3, 4e-3) sits where the t^4 truncation is still
+    negligible but the sphere transform roundoff, amplified by 1/step^2 in
+    the second difference, has dropped well below the closed-form target
+    accuracy.
     """
     wgrid = build_grid(2 * params.grid.lmax + 4)
     wide = params.widened(wgrid)
-
-    h1, h2 = steps
-    if not np.isclose(h1, 2.0 * h2):
-        raise ValueError("Richardson steps must have ratio 2")
+    h1, h2 = 8e-3, 4e-3
 
     # (tr gamma, H) at each t; c11 + c22 are the node values of gamma's trace
-    (c11, _, c22), h = _deformed_geometry(wide, (0.0, h1, -h1, h2, -h2))
+    (c11, _, c22), h = deformed_sphere_geometry(wide, (0.0, h1, -h1, h2, -h2))
     base, plus1, minus1, plus2, minus2 = zip(c11 + c22, h)
 
     def richardson_first(i):
@@ -339,25 +329,25 @@ def variation_check(params: DeformationParams, steps=(8e-3, 4e-3)) -> dict:
     return report
 
 
-def conformal_probe_check(lmax: int = 8, steps=(4e-3, 2e-3)) -> dict:
-    """Pure conformal deformation with v = 1/r.
+def conformal_probe_check() -> dict:
+    """Pure conformal deformation with v = 1/r, on the lmax-8 grid.
 
     The geometry oracle must reproduce H(t) = -2 (1+t)^{-1/2} + t (1+t)^{-3/2}
     exactly in t, whose second derivative at zero is -9/2.  Roundoff in H
     over step^2 and the step^4 truncation of the Richardson pair balance
-    near the default steps: the residual reads 3.3e-9 at (2e-3, 1e-3),
-    9.3e-10 at (4e-3, 2e-3) and 6.6e-9 at (8e-3, 4e-3).
+    near the steps used, (4e-3, 2e-3): the residual reads 3.3e-9 at
+    (2e-3, 1e-3), 9.3e-10 at (4e-3, 2e-3) and 6.6e-9 at (8e-3, 4e-3).
     """
-    grid = build_grid(lmax)
+    grid = build_grid(8)
     coeffs = np.zeros(grid.nmodes)
     coeffs[0] = np.sqrt(4.0 * np.pi)
     params = DeformationParams(f=ScalarField.zeros(grid),
                                X=TangentField.zeros(grid),
                                vperp=HarmonicExterior(grid, coeffs))
 
-    h1, h2 = steps
+    h1, h2 = 4e-3, 2e-3
     ts = (0.0, h1, -h1, h2, -h2)
-    h_at = dict(zip(ts, _deformed_geometry(params, ts)[1]))
+    h_at = dict(zip(ts, deformed_sphere_geometry(params, ts)[1]))
 
     def closed(t):
         return -2.0 / np.sqrt(1.0 + t) + t * (1.0 + t) ** (-1.5)
@@ -372,16 +362,17 @@ def conformal_probe_check(lmax: int = 8, steps=(4e-3, 2e-3)) -> dict:
     }
 
 
-def mass_variation_identity(gdot_fun, grid: SphereGrid, t_step: float = 1e-3,
-                            x_step: float = 1e-3) -> dict:
+def mass_variation_identity(gdot_fun, grid: SphereGrid) -> dict:
     """Flux identity for linear metric perturbations of flat space.
 
     For g_t = delta + t * gdot, the integral of (2 Hdot + A^{ab} gdot_ab)
     over the unit sphere equals the flux of div(gdot) - d(tr gdot) through
     the sphere.  The left side is computed by differencing the mean
     curvature of the unit sphere in the metric g_t; the right side by
-    finite differences of gdot.  Both sides use the outward normal.
+    finite differences of gdot.  Both sides use the outward normal.  Both
+    difference steps, in t and in x, are 1e-3.
     """
+    t_step = x_step = 1e-3
     grid_x = grid.nodes
     # gdot, its gradient and the embedding's coefficients do not depend on t
     gdot, dgdot = fd_jet(gdot_fun, grid_x, x_step)

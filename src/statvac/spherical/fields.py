@@ -143,11 +143,6 @@ class ScalarField:
     def __neg__(self):
         return self * (-1.0)
 
-    def pointwise(self, other: "ScalarField") -> "ScalarField":
-        """Pointwise product; reanalyzed, so band growth shows in truncation."""
-        self._check(other)
-        return ScalarField.from_values(self.grid, self.values * other.values)
-
     def _check(self, other):
         if not isinstance(other, ScalarField) or other.grid is not self.grid:
             if isinstance(other, ScalarField) and other.grid.same_layout(self.grid):
@@ -371,11 +366,3 @@ class SymTensorField:
         return SymTensorField(self.grid, self.trace * s,
                               s * self.p_coeffs, s * self.q_coeffs,
                               t1=s * self.t1, t2=s * self.t2)
-
-    def shifted(self, other: "SymTensorField") -> "SymTensorField":
-        if other.grid is not self.grid and not other.grid.same_layout(self.grid):
-            raise ValueError("fields live on different grids")
-        return SymTensorField(self.grid, self.trace + other.trace,
-                              self.p_coeffs + other.p_coeffs,
-                              self.q_coeffs + other.q_coeffs,
-                              t1=self.t1 + other.t1, t2=self.t2 + other.t2)

@@ -1,12 +1,12 @@
 """Quadrature grid on the unit sphere.
 
-The grid is a tensor product of Gauss-Legendre nodes in cos(theta) and
-equally spaced longitudes.  With nlat >= lmax+1 and nlon >= 2*lmax+1 the
-quadrature integrates every spherical polynomial of degree <= 2*lmax
-exactly, which makes the analysis projections of band-limited fields exact
-as well.  The poles are never grid nodes, so the orthonormal frame
-(e_theta, e_phi) is defined at every node; all vector and tensor
-components in this package refer to that frame.
+The grid is a tensor product of lmax+1 Gauss-Legendre nodes in cos(theta)
+and 2*lmax+1 equally spaced longitudes, the smallest grid whose quadrature
+integrates every spherical polynomial of degree <= 2*lmax exactly, which
+makes the analysis projections of band-limited fields exact as well.  The
+poles are never grid nodes, so the orthonormal frame (e_theta, e_phi) is
+defined at every node; all vector and tensor components in this package
+refer to that frame.
 
 Transforms are separable.  Every table the fields use has entries
 L_lm(theta) * T_m(phi): a latitude factor L (the normalized Legendre
@@ -19,9 +19,9 @@ O(lmax^3) per transform instead of the O(lmax^4) of a dense
 for, as references.
 
 The Gauss-Legendre rule, the latitude factors and the trig rows depend
-only on the layout (lmax, nlat, nlon).  They are computed once per layout
-and shared, read-only, by every grid of that layout; a few recent layouts
-are kept.  Each grid is still its own object, with its own dense tables.
+only on lmax.  They are computed once per lmax and shared, read-only, by
+every grid of that band limit; a few recent band limits are kept.  Each
+grid is still its own object, with its own dense tables.
 """
 
 from __future__ import annotations
@@ -53,14 +53,14 @@ _TABLES = {
 }
 
 
-# layouts whose shared parts stay cached; at lmax 128 the latitude factors
+# band limits whose shared parts stay cached; at lmax 128 the latitude factors
 # alone take about 100 MB
 _LAYOUTS_KEPT = 8
 
 
 @lru_cache(maxsize=_LAYOUTS_KEPT)
-def _layout(lmax: int, nlat: int, nlon: int):
-    """The read-only parts of a grid fixed by its layout.
+def _layout(lmax: int):
+    """The read-only parts of a grid fixed by its band limit.
 
     Returns the colatitudes and weights of the Gauss-Legendre rule, the
     longitudes, the latitude factors as (lmax+1, lmax+1, nlat) blocks
@@ -69,7 +69,8 @@ def _layout(lmax: int, nlat: int, nlon: int):
     the key True.  The sqrt(2) of the m != 0 basis functions is folded
     into the factors; entries with l < |m| are zero.
     """
-    mu, wgl = leggauss(nlat)
+    nlon = 2 * lmax + 1
+    mu, wgl = leggauss(lmax + 1)
     theta = np.arccos(mu)
     phi = 2.0 * np.pi * np.arange(nlon) / nlon
 
@@ -104,28 +105,19 @@ class SphereGrid:
     Parameters
     ----------
     lmax : int
-        Band limit of the basis attached to the grid.
-    nlat, nlon : int, optional
-        Number of latitude and longitude nodes.  Defaults are the minimal
-        exact choices lmax+1 and 2*lmax+1.
+        Band limit of the basis attached to the grid.  The grid has
+        nlat = lmax+1 latitude and nlon = 2*lmax+1 longitude nodes.
     """
 
-    def __init__(self, lmax: int, nlat: int | None = None, nlon: int | None = None):
+    def __init__(self, lmax: int):
         if lmax < 0:
             raise ValueError("lmax must be nonnegative")
-        nlat = lmax + 1 if nlat is None else nlat
-        nlon = 2 * lmax + 1 if nlon is None else nlon
-        if nlat < lmax + 1:
-            raise ValueError("nlat must be at least lmax + 1")
-        if nlon < 2 * lmax + 1:
-            raise ValueError("nlon must be at least 2*lmax + 1")
         self.lmax = int(lmax)
-        self.nlat = int(nlat)
-        self.nlon = int(nlon)
+        self.nlat = self.lmax + 1
+        self.nlon = 2 * self.lmax + 1
 
-        # shared with every grid of this layout: see _layout
-        self._theta_1d, wgl, self._phi_1d, self._factors, self._trig = _layout(
-            self.lmax, self.nlat, self.nlon)
+        # shared with every grid of this band limit: see _layout
+        self._theta_1d, wgl, self._phi_1d, self._factors, self._trig = _layout(self.lmax)
         self.theta = np.repeat(self._theta_1d, self.nlon)
         self.phi = np.tile(self._phi_1d, self.nlat)
         self.weights = np.repeat(wgl * (2.0 * np.pi / self.nlon), self.nlon)
@@ -288,13 +280,12 @@ class SphereGrid:
         return float(np.dot(self.weights, values))
 
     def same_layout(self, other: "SphereGrid") -> bool:
-        return (self.lmax == other.lmax and self.nlat == other.nlat
-                and self.nlon == other.nlon)
+        return self.lmax == other.lmax
 
     def __repr__(self):
-        return f"SphereGrid(lmax={self.lmax}, nlat={self.nlat}, nlon={self.nlon})"
+        return f"SphereGrid(lmax={self.lmax})"
 
 
-def build_grid(lmax: int, nlat: int | None = None, nlon: int | None = None) -> SphereGrid:
+def build_grid(lmax: int) -> SphereGrid:
     """Construct a deterministic Gauss-Legendre by equispaced grid."""
-    return SphereGrid(lmax, nlat=nlat, nlon=nlon)
+    return SphereGrid(lmax)

@@ -82,7 +82,7 @@ def conformal_killing_apply(X: TangentField) -> SymTensorField:
                           2.0 * X.a_coeffs, 2.0 * X.b_coeffs)
 
 
-def conformal_killing_solve(gbreve: SymTensorField, trace_tol: float = 1e-9):
+def conformal_killing_solve(gbreve: SymTensorField):
     """Invert the conformal Killing operator on a trace-free tensor.
 
     Returns (X, residual).  The degree-1 potentials of X are set to zero
@@ -90,12 +90,13 @@ def conformal_killing_solve(gbreve: SymTensorField, trace_tol: float = 1e-9):
     deformation tensor of X and the input components, which captures any
     part of the input outside the band-limited potential range.  The
     deformation tensor has potentials (2 * p/2, 2 * q/2) = (p, q) exactly,
-    so that mismatch is the input's own ``tracefree_truncation``.
+    so that mismatch is the input's own ``tracefree_truncation``.  A trace
+    above 1e-9 times (1 + the largest component) raises ValueError.
     """
     grid = gbreve.grid
     tmax = float(np.max(np.abs(gbreve.trace.values), initial=0.0))
     scale = 1.0 + gbreve.max_component()
-    if tmax > trace_tol * scale:
+    if tmax > 1e-9 * scale:
         raise ValueError("conformal_killing_solve expects a trace-free input; "
                          f"max |trace| = {tmax:.3e}")
     X = TangentField(grid, 0.5 * gbreve.p_coeffs, 0.5 * gbreve.q_coeffs)

@@ -1,6 +1,7 @@
 """Public API surface: every exported name resolves, and removed names stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -37,6 +38,36 @@ REMOVED = [
     ("statvac.oracles.suites", "_stencil_values"),
     ("statvac.oracles.suites", "_ambient_laplacian"),
     ("statvac.boundary", "HarmonicExterior._axis_tangential"),
+    ("statvac.spherical.fields", "ScalarField.pointwise"),
+    ("statvac.spherical.fields", "SymTensorField.shifted"),
+    ("statvac.boundary", "HarmonicExterior.zeros"),
+    ("statvac.oracles.sphere_variation", "_deformed_geometry"),
+    ("statvac.oracles.curvature_fd", "fd_riemann"),
+    ("statvac.oracles", "fd_riemann"),
+    ("statvac.oracles.metricfield", "MetricField.euclidean"),
+]
+
+# (module, dotted callable, keyword) triples of options removed because
+# every production caller passed one value, or none passed them at all
+REMOVED_OPTIONS = [
+    ("statvac.spherical.grid", "SphereGrid", "nlat"),
+    ("statvac.spherical.grid", "SphereGrid", "nlon"),
+    ("statvac.spherical.grid", "build_grid", "nlat"),
+    ("statvac.spherical.grid", "build_grid", "nlon"),
+    ("statvac.oracles.metricfield", "MetricField", "label"),
+    ("statvac.oracles.metricfield", "MetricField.conformal", "label"),
+    ("statvac.oracles.metricfield", "MetricField.polynomial", "label"),
+    ("statvac.oracles.metricfield", "MetricField.gradient", "step"),
+    ("statvac.oracles.metricfield", "random_polynomial_metric", "degree"),
+    ("statvac.oracles.sphere_variation", "variation_check", "steps"),
+    ("statvac.oracles.sphere_variation", "conformal_probe_check", "lmax"),
+    ("statvac.oracles.sphere_variation", "conformal_probe_check", "steps"),
+    ("statvac.oracles.sphere_variation", "mass_variation_identity", "t_step"),
+    ("statvac.oracles.sphere_variation", "mass_variation_identity", "x_step"),
+    ("statvac.oracles.geodesic", "jet_from_metric", "step"),
+    ("statvac.oracles.geodesic", "jet_from_metric", "curv_step"),
+    ("statvac.oracles.curvature_fd", "fd_linearized_ricci", "x_step"),
+    ("statvac.spherical.operators", "conformal_killing_solve", "trace_tol"),
 ]
 
 
@@ -48,10 +79,21 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-@pytest.mark.parametrize("module_name, attr", REMOVED)
-def test_removed_names_are_gone(module_name, attr):
+def _resolve(module_name, attr):
     owner = importlib.import_module(module_name)
     *path, member = attr.split(".")
     for part in path:
         owner = getattr(owner, part)
+    return owner, member
+
+
+@pytest.mark.parametrize("module_name, attr", REMOVED)
+def test_removed_names_are_gone(module_name, attr):
+    owner, member = _resolve(module_name, attr)
     assert not hasattr(owner, member)
+
+
+@pytest.mark.parametrize("module_name, attr, option", REMOVED_OPTIONS)
+def test_removed_options_are_gone(module_name, attr, option):
+    owner, member = _resolve(module_name, attr)
+    assert option not in inspect.signature(getattr(owner, member)).parameters

@@ -1,5 +1,7 @@
 """Command-line behavior: modes, formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statvac import cli, io as svio, mass
 from statvac.curvature import random_jet
@@ -390,21 +393,94 @@ def test_residual_gate_exits_3(monkeypatch, capsys):
     assert block["limit"] == cli.RESIDUAL_LIMIT
 
 
-def test_nan_residuals_exit_3_with_strict_json(tmp_path, capsys):
-    """A coefficient near the float limit overflows the solve; its NaN
-    residuals must fail the gate and be written as null."""
-    path = write_json(tmp_path / "huge.json",
-                      {"H1": [{"l": 1, "m": 0, "value": 1e308}]})
-    with np.errstate(all="ignore"):
-        code, out, _ = run_cli(capsys, "--mode", "fields", "--lmax", "8",
-                               "--input", path)
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_nan_residuals_exit_3_with_strict_json(monkeypatch, capsys):
+    """NaN residuals must fail the gate and be written as null."""
+    def nan_estimate(data, tau=None, jet=None):
+        return mass.MassReport(m1=0.0, m2=0.0, diagnostics={
+            "residuals": {"a": 0.0, "b": math.nan, "c": math.nan}})
+
+    monkeypatch.setattr(mass, "estimate", nan_estimate)
+    code, out, _ = run_cli(capsys, "--mode", "fields", "--lmax", "8")
     assert code == 3
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    block = json.loads(out, parse_constant=reject)
+    block = json.loads(out, parse_constant=reject_constant)
     assert block["residuals"]["b"] is None and block["residuals"]["c"] is None
+
+
+@pytest.mark.parametrize("case", [
+    {"H1": [{"l": 0, "m": 0, "value": 1e160}]},
+    {"gamma1": {"trace": [{"l": 0, "m": 0, "value": 1e160}]}},
+    {"gamma1": {"p": [{"l": 2, "m": 0, "value": 1e160}]}},
+    # overflows inside the boundary solve, before any mass
+    {"H1": [{"l": 1, "m": 0, "value": 1e308}]},
+    # finite masses, but tau * (m1 + m2) overflows
+    {"H1": [{"l": 0, "m": 0, "value": 1e10}], "tau": 1e300},
+])
+def test_fields_overflow_exits_2(tmp_path, capsys, case):
+    path = write_json(tmp_path / "huge.json", {"cases": [{}, case]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                                 "--input", path)
+    assert code == 2 and out == ""
+    assert err == ("schema error: input.cases[1]: data too large: the mass "
+                   "report overflows\n")
+
+
+def test_fields_takes_a_single_tau(capsys):
+    code, out, err = run_cli(capsys, "--mode", "fields", "--lmax", "8",
+                             "--tau", "0.1", "0.2")
+    assert code == 2 and out == ""
+    assert err.startswith("schema error:") and '"tau" key' in err
+
+
+_EDGE_MAGNITUDES = (1e154, 1e155, 1e160, 1e300, 1e308, sys.float_info.max)
+_magnitudes = st.one_of(st.floats(0.0, 308.0).map(lambda e: 10.0 ** e),
+                        st.sampled_from(_EDGE_MAGNITUDES))
+_signs = st.sampled_from((1.0, -1.0))
+
+
+@st.composite
+def _fields_run(draw):
+    block = draw(st.sampled_from(("H1", "trace", "p", "q")))
+    l = draw(st.integers(2 if block in ("p", "q") else 0, 6))
+    entry = {"l": l, "m": draw(st.integers(-l, l)),
+             "value": draw(_signs) * draw(_magnitudes)}
+    case = {"H1": [entry]} if block == "H1" else {"gamma1": {block: [entry]}}
+    if draw(st.booleans()):
+        case["tau"] = draw(_magnitudes)
+    return ["--mode", "fields"], {"cases": [case]}
+
+
+@st.composite
+def _small_sphere_run(draw):
+    ric = np.diag([draw(_signs) * draw(_magnitudes), 0.0, draw(_signs)])
+    taus = [repr(draw(_magnitudes) * 1e-3) for _ in range(draw(st.integers(1, 2)))]
+    return ["--mode", "small-sphere", "--tau", *taus], {"ric": ric.tolist()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=st.one_of(_fields_run(), _small_sphere_run()))
+def test_large_inputs_exit_with_a_documented_code_and_strict_json(tmp_path_factory, run):
+    """Inputs up to the float limit either work, exit 2, or fail the
+    residual gate; stdout is strict JSON and no numpy warning escapes."""
+    argv, payload = run
+    path = tmp_path_factory.getbasetemp() / "large_input.json"
+    write_json(path, payload)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([*argv, "--lmax", "8", "--input", str(path)])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("schema error:")
+    else:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
 
 
 def test_integers_beyond_the_float_range_exit_2(tmp_path, capsys):

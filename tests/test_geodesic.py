@@ -49,7 +49,7 @@ def test_space_form_reference_closed_values():
 
 def test_flat_geodesic_sphere_has_no_offsets():
     grid = build_grid(6)
-    pert = geodesic_sphere(MetricField.euclidean(), (0.1, -0.2, 0.05), 0.37, grid)
+    pert = geodesic_sphere(MetricField.polynomial(), (0.1, -0.2, 0.05), 0.37, grid)
     assert np.max(np.abs(pert.gamma1.trace.values)) < 1e-10
     assert np.max(pert.gamma1.tracefree_norm_sq_values()) < 1e-20
     assert np.max(np.abs(pert.H1.values)) < 1e-10
@@ -123,7 +123,7 @@ def test_integration_never_evaluates_more_points_than_grid_nodes():
         return base.gradient(pts)
 
     diag = {}
-    geodesic_sphere(MetricField(fun, grad, label="counted"), (0.0, 0.0, 0.0),
+    geodesic_sphere(MetricField(fun, grad), (0.0, 0.0, 0.0),
                     0.1, grid, diagnostics=diag)
     assert max(widths) == grid.nnodes
     # two calls (value and gradient) per right-hand side, all full width
@@ -259,7 +259,7 @@ def test_stepper_matches_scipy_dop853_bitwise(monkeypatch):
 
 def test_geodesic_sphere_validation():
     grid = build_grid(6)
-    metric = MetricField.euclidean()
+    metric = MetricField.polynomial()
     with pytest.raises(ValueError):
         geodesic_sphere(metric, (0.0, 0.0, 0.0), -0.1, grid)
     # non-finite input would leave the integrator stepping forever, and a
@@ -280,7 +280,7 @@ def test_indefinite_metric_is_a_numerical_failure():
                                (pts.shape[0], 3, 3)).copy()
 
     with pytest.raises(NumericalFailure):
-        geodesic_sphere(MetricField(fun, label="indefinite"), (0.0, 0.0, 0.0),
+        geodesic_sphere(MetricField(fun), (0.0, 0.0, 0.0),
                         0.1, grid)
 
 
@@ -291,7 +291,7 @@ def test_non_finite_metric_at_the_center_is_a_numerical_failure():
         return g
 
     with pytest.raises(NumericalFailure, match="not finite at the center"):
-        geodesic_sphere(MetricField(fun, label="nan center"), (0.0, 0.0, 0.0),
+        geodesic_sphere(MetricField(fun), (0.0, 0.0, 0.0),
                         0.1, build_grid(4))
 
 
@@ -325,7 +325,7 @@ def metric_beyond(radius, g_outside, dg_outside):
         dg[outside(pts)] = dg_outside
         return dg
 
-    return MetricField(fun, grad, label="cut off")
+    return MetricField(fun, grad)
 
 
 def test_non_finite_gradient_is_a_numerical_failure():

@@ -103,17 +103,13 @@ def test_grid_validation_errors():
     with pytest.raises(ValueError):
         SphereGrid(-1)
     with pytest.raises(ValueError):
-        SphereGrid(8, nlat=8)
-    with pytest.raises(ValueError):
-        SphereGrid(8, nlon=16)
-    with pytest.raises(ValueError):
         build_grid(4).analyze(np.zeros(7))
     with pytest.raises(ValueError):
         build_grid(4).synthesize(np.zeros(7))
 
 
 def test_wide_grid_same_integrals(grid8):
-    wide = build_grid(8, nlat=14, nlon=29)
+    wide = build_grid(14)
     assert not wide.same_layout(grid8)
     vals = grid8.nodes[:, 2] ** 4
     wide_vals = wide.nodes[:, 2] ** 4
@@ -151,17 +147,15 @@ def check_separable_against_dense(g, rng):
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, g)
 
 
-@pytest.mark.parametrize("args", [(0,), (1,), (4,), (8,), (16,), (8, 14, 29)])
+@pytest.mark.parametrize("args", [(0,), (1,), (4,), (8,), (16,)])
 def test_separable_transforms_match_dense_tables(args, rng):
     check_separable_against_dense(build_grid(*args), rng)
 
 
 @settings(max_examples=12, deadline=None)
-@given(lmax=st.integers(0, 12), extra_lat=st.integers(0, 4),
-       extra_lon=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
-def test_separable_transforms_match_dense_on_drawn_grids(lmax, extra_lat, extra_lon, seed):
-    grid = build_grid(lmax, nlat=lmax + 1 + extra_lat, nlon=2 * lmax + 1 + extra_lon)
-    check_separable_against_dense(grid, np.random.default_rng(seed))
+@given(lmax=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_separable_transforms_match_dense_on_drawn_grids(lmax, seed):
+    check_separable_against_dense(build_grid(lmax), np.random.default_rng(seed))
 
 
 def reference_legendre(lmax, theta):
@@ -245,7 +239,7 @@ def test_grids_of_one_layout_share_their_read_only_factors():
     be written; each build is still a grid of its own."""
     first, second = build_grid(7), build_grid(7)
     assert first is not second
-    assert build_grid(7, nlon=17)._factors is not first._factors
+    assert build_grid(8)._factors is not first._factors
     assert first._theta_1d is second._theta_1d
     for name in ("_factors", "_trig"):
         mine, theirs = getattr(first, name), getattr(second, name)

@@ -343,11 +343,10 @@ def test_m2_quadrature_gap_is_bounded_by_the_truncations(lmax):
     grid = build_grid(lmax)
     for seed in range(3):
         params = random_deformation(grid, np.random.default_rng(seed))
-        gamma, H = deformed_sphere_geometry(params, 1.0)
-        c11, c12, c22 = gamma.components()
+        (c11, c12, c22), h = deformed_sphere_geometry(params, [1.0])
         data = BartnikPerturbation(
-            SymTensorField.from_components(grid, c11 - 1.0, c12, c22 - 1.0),
-            ScalarField.from_values(grid, H.values + 2.0))
+            SymTensorField.from_components(grid, c11[0] - 1.0, c12[0], c22[0] - 1.0),
+            ScalarField.from_values(grid, h[0] + 2.0))
         sol = solve_boundary_system(data)
         gap = abs(_m2_quadrature(data, sol) - compute_m2(data, sol))
         a = data.H1.truncation

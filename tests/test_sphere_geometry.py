@@ -103,12 +103,12 @@ def test_batched_spheres_keep_each_sphere_bits(grid12):
 def test_deformed_spheres_at_several_times_match_one_at_a_time(grid8):
     params = random_deformation(grid8, np.random.default_rng(2))
     ts = (0.0, 0.01, -0.02)
-    (c11, c12, c22), h = sphere_variation._deformed_geometry(params, ts)
+    comps, h = deformed_sphere_geometry(params, ts)
     for i, t in enumerate(ts):
-        gamma, H = deformed_sphere_geometry(params, t)
-        assert H.values.tobytes() == h[i].tobytes()
-        assert gamma.trace.values.tobytes() == (c11[i] + c22[i]).tobytes()
-        assert gamma.t2.tobytes() == c12[i].tobytes()
+        one_comps, one_h = deformed_sphere_geometry(params, [t])
+        assert one_h[0].tobytes() == h[i].tobytes()
+        for got, want in zip(one_comps, comps):
+            assert got[0].tobytes() == want[i].tobytes()
 
 
 def test_each_sphere_oracle_reaches_the_one_routine(grid8, grid12, rng, monkeypatch):
@@ -124,7 +124,7 @@ def test_each_sphere_oracle_reaches_the_one_routine(grid8, grid12, rng, monkeypa
     reached = []
     geodesic_sphere(MetricField.space_form(0.6), (0.0, 0.0, 0.0), 0.1, grid8)
     reached.append(len(calls))
-    deformed_sphere_geometry(random_deformation(grid8, rng), 0.01)
+    deformed_sphere_geometry(random_deformation(grid8, rng), [0.01])
     reached.append(len(calls))
     mass_variation_identity(lambda pts: np.eye(3) + pts[:, :, None] * pts[:, None, :],
                             grid12)

@@ -29,10 +29,11 @@ def constant_params(grid, f_const=0.0, v_const=0.0):
 
 def test_undeformed_sphere_is_round(grid8, rng):
     params = random_deformation(grid8, rng)
-    gamma, h = deformed_sphere_geometry(params, 0.0)
-    np.testing.assert_allclose(gamma.trace.values, 2.0, atol=1e-12)
-    assert np.max(gamma.tracefree_norm_sq_values()) < 1e-24
-    np.testing.assert_allclose(h.values, -2.0, atol=1e-12)
+    (c11, c12, c22), h = deformed_sphere_geometry(params, [0.0])
+    np.testing.assert_allclose(c11 + c22, 2.0, atol=1e-12)
+    # squared norm of the trace-free part, 2 (t1^2 + t2^2)
+    assert np.max(0.5 * (c11 - c22) ** 2 + 2.0 * c12 ** 2) < 1e-24
+    np.testing.assert_allclose(h, -2.0, atol=1e-12)
 
 
 def test_pure_scaling_curve_is_exact(grid8):
@@ -40,11 +41,12 @@ def test_pure_scaling_curve_is_exact(grid8):
     (1 + t c)^2 times round and H = -2 / (1 + t c), exactly in t."""
     c = 0.3
     params = constant_params(grid8, f_const=c)
-    for t in (0.0, 0.05, -0.08, 0.4):
+    ts = (0.0, 0.05, -0.08, 0.4)
+    (c11, _, c22), h = deformed_sphere_geometry(params, ts)
+    for i, t in enumerate(ts):
         r = 1.0 + t * c
-        gamma, h = deformed_sphere_geometry(params, t)
-        np.testing.assert_allclose(gamma.trace.values, 2.0 * r ** 2, atol=1e-12)
-        np.testing.assert_allclose(h.values, -2.0 / r, atol=1e-12)
+        np.testing.assert_allclose(c11[i] + c22[i], 2.0 * r ** 2, atol=1e-12)
+        np.testing.assert_allclose(h[i], -2.0 / r, atol=1e-12)
     trdot, hdot = first_variation(params)
     np.testing.assert_allclose(trdot.values, 4.0 * c, atol=1e-13)
     np.testing.assert_allclose(hdot.values, 2.0 * c, atol=1e-13)
@@ -105,12 +107,6 @@ def test_variation_check_on_random_deformations(rng):
     assert worst < 1e-6
 
 
-def test_variation_check_rejects_uneven_steps(grid8, rng):
-    params = random_deformation(grid8, rng)
-    with pytest.raises(ValueError):
-        variation_check(params, steps=(8e-3, 3e-3))
-
-
 def test_widened_params_keep_the_variation(grid8, rng):
     params = random_deformation(grid8, rng)
     wide = params.widened(build_grid(12))
@@ -130,18 +126,18 @@ def test_degenerate_surface_raises(grid8):
     """f = -1 at t = 1 collapses the sphere to a point: every tangent is 0."""
     params = constant_params(grid8, f_const=-1.0)
     with pytest.raises(ValueError, match="deformed surface is degenerate at this t"):
-        deformed_sphere_geometry(params, 1.0)
+        deformed_sphere_geometry(params, [1.0])
 
 
 @pytest.mark.filterwarnings("error")
 def test_nonpositive_conformal_factor_raises(grid8):
     params = constant_params(grid8, v_const=-1.5)
     with pytest.raises(ValueError, match="conformal factor is not positive at this t"):
-        deformed_sphere_geometry(params, 1.0)
+        deformed_sphere_geometry(params, [1.0])
 
 
 def test_conformal_probe_matches_the_closed_curve():
-    report = conformal_probe_check(lmax=6)
+    report = conformal_probe_check()
     assert report["h_curve_error"] < 1e-12
     assert abs(report["second_derivative"] + 4.5) < 1e-8
     assert report["second_derivative_error"] < 1e-8
@@ -150,16 +146,16 @@ def test_conformal_probe_matches_the_closed_curve():
 def test_conformal_probe_builds_each_of_its_five_spheres_once(monkeypatch):
     """All five values of t go through one batched geometry call."""
     calls = []
-    original = sphere_variation._deformed_geometry
+    original = sphere_variation.deformed_sphere_geometry
 
     def counted(params, ts):
         calls.append(ts)
         return original(params, ts)
 
-    monkeypatch.setattr(sphere_variation, "_deformed_geometry", counted)
-    conformal_probe_check(lmax=6, steps=(2e-3, 1e-3))
+    monkeypatch.setattr(sphere_variation, "deformed_sphere_geometry", counted)
+    conformal_probe_check()
     assert len(calls) == 1
-    assert sorted(calls[0]) == [-2e-3, -1e-3, 0.0, 1e-3, 2e-3]
+    assert sorted(calls[0]) == [-4e-3, -2e-3, 0.0, 2e-3, 4e-3]
 
 
 def test_mass_variation_identity_differences_gdot_once(grid12, monkeypatch):
