@@ -168,6 +168,8 @@ def estimate(data: BartnikPerturbation, tau: float | None = None,
         hawking = hawking_mass(data.gamma1, data.H1)
     except ValueError:
         hawking = None
+    a, b = data.H1.truncation, data.gamma1.trace.truncation
+    c = data.gamma1.tracefree_truncation
     diagnostics = {
         "residuals": dict(sol.residuals),
         "l1_residual": sol.l1_residual,
@@ -175,9 +177,11 @@ def estimate(data: BartnikPerturbation, tau: float | None = None,
         "m1_flux": m1_flux,
         "m1_consistency": abs(m1 - m1_flux),
         "dirichlet_energy": sol.v.dirichlet_energy(),
-        "tracefree_truncation": data.gamma1.tracefree_truncation,
-        "trace_truncation": data.gamma1.trace.truncation,
-        "h1_truncation": data.H1.truncation,
+        "tracefree_truncation": c,
+        "trace_truncation": b,
+        "h1_truncation": a,
+        # compute_m2's bound on |m2 quadrature - m2|
+        "m2_truncation_bound": 3.0 / 16.0 * a * b + 0.5 * c * c,
     }
     reference = {}
     if jet is not None:

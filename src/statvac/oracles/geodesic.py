@@ -20,10 +20,13 @@ first trial step is the whole radius: the embedded error estimate accepts
 or rejects it like any other step (ibid. II.4), and on small spheres one
 step passes, which saves the evaluations of an initial-step heuristic and
 of the short steps it would propose.  The right-hand
-side is ``MetricField.geodesic_acceleration``, which contracts the metric
-derivatives with the velocities as component products summed in a fixed
-order, never forming the Christoffel symbols; its bits do not depend on
-the memory layout of the metric callable's output.
+side is ``MetricField.geodesic_acceleration``: one ``MetricField.jet`` of
+the metric and its gradient at every node, contracted with the velocities
+by three ``np.einsum`` sums, never forming the Christoffel symbols.  The
+jet is C-contiguous with the nodes last, so each sum adds its terms in
+index order and its bits do not depend on the memory layout of the metric
+callable's output; the end points' metric and gradient come from one
+more jet.
 """
 
 from __future__ import annotations
@@ -145,10 +148,9 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     y0 = state[: 3 * n].reshape(n, 3)
     v_end = state[3 * n:].reshape(n, 3)
 
-    gy = metric(y0)
+    gy, dgy = (np.moveaxis(a, -1, 0) for a in metric.jet(y0))
     ycoef = grid.analyze(y0.T)
-    (s11, s12, s22), h, det, nu = embedded_sphere_geometry(
-        grid, ycoef, gy, metric.gradient(y0))
+    (s11, s12, s22), h, det, nu = embedded_sphere_geometry(grid, ycoef, gy, dgy)
     if not np.all(np.einsum("na,nab,nb->n", nu, gy, v_end) > 0.0):
         raise NumericalFailure("surface normal orthogonal to the geodesic")
 

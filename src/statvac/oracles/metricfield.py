@@ -14,13 +14,20 @@ A family of metrics is one callable over (nfam, npts, 3) points that
 broadcasts one parameter set per entry of the leading axis; the stencils
 and the Christoffel symbols keep such leading axes, so one call serves
 every member of the family.
-Polynomial metrics evaluate g and its exact gradient as fixed-order sums
-over monomials of the coordinates, on the six rows a <= b of the symmetric
-(a, b) pair, gathered to nine at the end.  The coefficients and the
-gradient's term plan are built once, at construction.  The sums stay
-elementwise rather than one BLAS product, which would be faster but rounds
-differently with the batch size: the curvature stencils need each point's
-value to be the same in any batch.
+
+``MetricField.jet`` gives g and its first derivatives from one
+evaluation, component-major and C-contiguous with the points last; the
+geodesic right-hand side and the exact Christoffel symbols read it.  A
+polynomial metric builds the 20 monomials of degree <= 3 of its points
+once, as one (20, npts) array, and forms g and its exact gradient as two
+``np.einsum`` sums over that monomial axis; its value and gradient
+callables return views of the same jet.  einsum keeps the bits of each
+point where one BLAS product would not: with the points on the
+contiguous last axis of the monomials and of the result, its
+sum-of-products loops run along the points and add the terms in index
+order, without blocking, so a point's value does not depend on the batch
+it is evaluated in.  The
+curvature stencils need that, since they amplify the last bit.
 """
 
 from __future__ import annotations
@@ -49,11 +56,13 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _AXIAL = np.array([oi * _EYE[c] for c in range(3) for oi in _D1_OFFSETS])
 _MIXED = np.array([oi * _EYE[c] + oj * _EYE[d] for c, d in _PAIRS
                    for oi in _D1_OFFSETS for oj in _D1_OFFSETS])
-
-# flat rows a*3 + b with a <= b of a symmetric 3x3 index pair, and the
-# gather that expands those six rows back to all nine
-_SYM_ROWS = np.array([0, 1, 2, 4, 5, 8])
-_SYM_GATHER = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+# The adjugate of a 3x3 matrix, indices mod 3: adj[j, i] =
+# g[i+1, j+1] g[i+2, j+2] - g[i+1, j+2] g[i+2, j+1].  Flat rows 3a + b of
+# g for the left and right factors of the first products, then the second.
+_ADJ_LEFT = np.array([3 * ((i + 1) % 3) + (j + d) % 3
+                      for d in (1, 2) for j in range(3) for i in range(3)])
+_ADJ_RIGHT = np.array([3 * ((i + 2) % 3) + (j + 3 - d) % 3
+                       for d in (1, 2) for j in range(3) for i in range(3)])
 
 
 def _on_stencil(fun, points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -139,19 +148,23 @@ def richardson(coarse, fine, order: int):
 def _inverse3(g: np.ndarray) -> np.ndarray:
     """Closed-form inverse of 3x3 matrices stored component-major, (3, 3, ...).
 
-    Column i of the inverse is row i+1 cross row i+2 over the determinant.
+    Column i of the inverse is row i+1 cross row i+2 over the determinant,
+    with the products and order of np.cross(a, b, axis=0).
     Raises LinAlgError on a singular or non-finite matrix.
     """
-    adj = np.empty(g.shape)
-    for i in range(3):  # the products and order of np.cross(a, b, axis=0)
-        a, b = g[(i + 1) % 3], g[(i + 2) % 3]
-        adj[0, i] = a[1] * b[2] - a[2] * b[1]
-        adj[1, i] = a[2] * b[0] - a[0] * b[2]
-        adj[2, i] = a[0] * b[1] - a[1] * b[0]
+    rows = g.reshape((9,) + g.shape[2:])
+    prod = np.take(rows, _ADJ_LEFT, axis=0) * np.take(rows, _ADJ_RIGHT, axis=0)
+    adj = (prod[:9] - prod[9:]).reshape(g.shape)
     det = np.einsum("a...,a...->...", g[0], adj[:, 0])
     if not np.all(np.isfinite(g)) or np.any(det == 0.0):
         raise np.linalg.LinAlgError("singular or non-finite metric")
     return adj / det
+
+
+def _point_major(arr: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """A component-major jet array, points last, as (..., npts, components)
+    for the (..., npts, 3) points it was evaluated at; a view for (npts, 3)."""
+    return np.moveaxis(arr, -1, 0).reshape(points.shape[:-1] + arr.shape[:-1])
 
 
 class MetricField:
@@ -160,6 +173,19 @@ class MetricField:
     def __init__(self, fun, grad=None):
         self._fun = fun
         self._grad = grad
+        self._exact_jet = None
+
+    @classmethod
+    def _from_jet(cls, jet) -> "MetricField":
+        """Metric whose value and exact gradient are views of one jet.
+
+        ``jet(pts, order)`` maps (n, 3) points to (g, dg), g (3, 3, n) and
+        dg (3, 3, 3, n) component-major, or to (g, None) for order 0.
+        """
+        metric = cls(lambda pts: _point_major(jet(pts.reshape(-1, 3), 0)[0], pts),
+                     lambda pts: _point_major(jet(pts.reshape(-1, 3), 1)[1], pts))
+        metric._exact_jet = jet
+        return metric
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -171,9 +197,31 @@ class MetricField:
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """dg[n, c, a, b] = d g_ab / d x^c, exact if available, else FD with step 1e-3."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._grad is not None:
-            return np.asarray(self._grad(points), dtype=float)
-        return fd_jet(self, points, 1e-3)[1]
+        if self._grad is None:
+            return fd_jet(self, points, 1e-3)[1]
+        dg = np.asarray(self._grad(points), dtype=float)
+        if dg.shape != points.shape[:-1] + (3, 3, 3):
+            raise ValueError("metric gradient callable must return (..., npts, 3, 3, 3)")
+        return dg
+
+    def jet(self, points: np.ndarray):
+        """g[a, b, n] and dg[c, a, b, n] = d_c g_ab at (..., npts, 3) points.
+
+        Component-major and C-contiguous, with every point on the last
+        axis, leading axes flattened into it.  The closed-form
+        constructors evaluate both in one pass.  Otherwise the callables
+        are called once each, or, without a gradient callable, the value
+        callable once on the points and the stencil of ``gradient``.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._exact_jet is not None:
+            return self._exact_jet(points.reshape(-1, 3), 1)
+        if self._grad is None:
+            g, dg = fd_jet(self, points, 1e-3)
+        else:
+            g, dg = self(points), self.gradient(points)
+        return (np.ascontiguousarray(np.moveaxis(g.reshape(-1, 3, 3), 0, -1)),
+                np.ascontiguousarray(np.moveaxis(dg.reshape(-1, 3, 3, 3), 0, -1)))
 
     def christoffel(self, points: np.ndarray, step: float = 1e-3,
                     force_fd: bool = False) -> np.ndarray:
@@ -181,20 +229,18 @@ class MetricField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if force_fd or self._grad is None:
             g, dg = fd_jet(self, points, step)
+            # pointwise from here on, so any leading axes join the points,
+            # component-major as in the jet
+            g = g.reshape(-1, 3, 3).transpose(1, 2, 0)
+            dg = dg.reshape(-1, 3, 3, 3).transpose(1, 2, 3, 0)
         else:
-            g, dg = self(points), self.gradient(points)
-        shape = g.shape[:-2]
-        # pointwise from here on, so any leading axes join the points; then
-        # component-major, points last, so that every product runs over
-        # contiguous points (polynomial metrics return views of such arrays)
-        g = g.reshape(-1, 3, 3).transpose(1, 2, 0)
-        dg = dg.reshape(-1, 3, 3, 3).transpose(1, 2, 3, 0)
+            g, dg = self.jet(points)
         # Gamma^c_ab = (1/2) g^{cd} bracket[d, a, b] with
         # bracket[d, a, b] = dg[a, d, b] + dg[b, d, a] - dg[d, a, b]
         bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
         gam = np.matmul(_inverse3(g).transpose(2, 0, 1),
                         bracket.reshape(3, 9, -1).transpose(2, 0, 1))
-        return 0.5 * gam.reshape(shape + (3, 3, 3))
+        return 0.5 * gam.reshape(points.shape[:-1] + (3, 3, 3))
 
     def geodesic_acceleration(self, points: np.ndarray,
                               velocities: np.ndarray) -> np.ndarray:
@@ -203,19 +249,14 @@ class MetricField:
         Points, velocities and the result are (npts, 3).  With
         u[c, d] = d_c g_db v^b, the lowered contraction
         w_d = (d_a g_db - 1/2 d_d g_ab) v^a v^b is v^a u[a, d] - 1/2 u[d, a] v^a,
-        and the acceleration is -g^{cd} w_d.  Every contraction is written
-        out as component products summed in index order, so the rounding
-        does not depend on the memory layout the metric callable returns.
+        and the acceleration is -g^{cd} w_d: one jet, three einsum
+        contractions over its contiguous points.
         """
-        # component-major with points last, as in christoffel
         v = np.ascontiguousarray(np.asarray(velocities, dtype=float).reshape(-1, 3).T)
-        g = self(points).transpose(1, 2, 0)
-        dg = self.gradient(points).transpose(1, 2, 3, 0)
-        u = dg[:, :, 0] * v[0] + dg[:, :, 1] * v[1] + dg[:, :, 2] * v[2]  # [c, a]
-        w = (v[0] * u[0] + v[1] * u[1] + v[2] * u[2]
-             - 0.5 * (u[:, 0] * v[0] + u[:, 1] * v[1] + u[:, 2] * v[2]))
-        ginv = _inverse3(g)
-        return -(ginv[:, 0] * w[0] + ginv[:, 1] * w[1] + ginv[:, 2] * w[2]).T
+        g, dg = self.jet(points)
+        u = np.einsum("cabn,bn->can", dg, v)
+        w = np.einsum("an,adn->dn", v, u) - 0.5 * np.einsum("dan,an->dn", u, v)
+        return -np.einsum("cdn,dn->nc", _inverse3(g), w)
 
     # -- constructors ----------------------------------------------------
 
@@ -227,13 +268,17 @@ class MetricField:
             vals = np.asarray(rho(pts), dtype=float)
             return vals[..., None, None] * np.eye(3)
 
-        grad = None
-        if drho is not None:
-            def grad(pts):
-                dv = np.asarray(drho(pts), dtype=float)
-                return dv[..., None, None] * np.eye(3)
+        if drho is None:
+            return cls(fun)
 
-        return cls(fun, grad)
+        def jet(pts, order):  # (rho delta, drho x delta)
+            g = _EYE[:, :, None] * np.asarray(rho(pts), dtype=float)
+            if order == 0:
+                return g, None
+            dv = np.ascontiguousarray(np.asarray(drho(pts), dtype=float).T)
+            return g, _EYE[:, :, None] * dv[:, None, None]
+
+        return cls._from_jet(jet)
 
     @classmethod
     def space_form(cls, k: float) -> "MetricField":
@@ -269,51 +314,39 @@ class MetricField:
         cubic = sum(cubic.transpose(0, 1, *p)
                     for p in itertools.permutations((2, 3, 4))) / 6.0
 
-        # Contracted once per distinct monomial x^idx, idx = (i <= j <= ..):
-        # the block entry times the number of distinct orderings of idx, on
-        # the six rows a <= b only, since the blocks are exactly symmetric
-        # in (a, b).  g and dg are fixed-order sums over these monomials,
-        # component-major (points last), gathered to nine rows at the end.
-        # Unlike one BLAS product, whose rounding depends on the batch size,
-        # this gives each point the same value in any batch, which the
-        # curvature stencils need: they amplify the last bit.
-        blocks = (None, lin, quad, cubic)
-        terms = [idx for d in (1, 2, 3)
+        # The 20 distinct monomials x^idx, idx = (i <= j <= ..), by degree
+        # and then lexicographically: the children idx + (i,), i >= idx[-1],
+        # of each monomial of degree 1 or 2 are consecutive, one product
+        # of it with the coordinates x[idx[-1]:]
+        terms = [idx for d in range(4)
                  for idx in itertools.combinations_with_replacement(range(3), d)]
-        coeffs = [len(set(itertools.permutations(idx)))
-                  * blocks[len(idx)][(Ellipsis, *idx)].reshape(9)[_SYM_ROWS, None]
-                  for idx in terms]
-        # d x^idx / d x_c = (times c occurs in idx) * x^(idx less one c), as
-        # (c, scaled coefficient, rest monomial) in the order of the sums
-        grad_plan = []
-        for idx, coeff in zip(terms, coeffs):
-            for c in sorted(set(idx)):
-                rest = list(idx)
-                rest.remove(c)
-                grad_plan.append((c, idx.count(c) * coeff, tuple(rest)))
+        index = {idx: t for t, idx in enumerate(terms)}
+        children = [(index[idx], index[idx + idx[-1:]], idx[-1]) for idx in terms[1:10]]
+        # value[t, ab]: the block entry of monomial t times its number of
+        # distinct orderings, delta for the constant monomial
+        blocks = (np.eye(3), lin, quad, cubic)
+        value = np.stack([len(set(itertools.permutations(idx)))
+                          * blocks[len(idx)][(Ellipsis, *idx)].reshape(9)
+                          for idx in terms])
+        # d x^idx / d x_c = (times c occurs in idx) * x^(idx less one c):
+        # slope[s, c * 9 + ab] scales monomial s of degree <= 2, idx = s + (c,)
+        slope = np.concatenate([[idx.count(c) * value[index[idx]]
+                                 for idx in (tuple(sorted(s + (c,))) for s in terms[:10])]
+                                for c in range(3)], axis=1)
 
-        def monomials(pts):
-            x = np.ascontiguousarray(pts.T)
-            mono = {(): np.ones(pts.shape[0])}
-            for idx in terms:
-                mono[idx] = mono[idx[:-1]] * x[idx[-1]]
-            return mono
+        def jet(pts, order):
+            mono = np.empty((len(terms), pts.shape[0]))
+            mono[0] = 1.0
+            mono[1:4] = pts.T
+            for t, first, i in children:
+                np.multiply(mono[t], mono[1 + i:4], out=mono[first:first + 3 - i])
+            # fixed-order sums over the monomial axis, component-major
+            g = np.einsum("tk,tn->kn", value, mono).reshape(3, 3, -1)
+            if order == 0:
+                return g, None
+            return g, np.einsum("sk,sn->kn", slope, mono[:10]).reshape(3, 3, 3, -1)
 
-        def fun(pts):
-            mono = monomials(pts)
-            g = np.repeat(np.eye(3).reshape(9)[_SYM_ROWS, None], pts.shape[0], axis=1)
-            for idx, coeff in zip(terms, coeffs):
-                g += coeff * mono[idx]
-            return g[_SYM_GATHER].T.reshape(-1, 3, 3)
-
-        def grad(pts):
-            mono = monomials(pts)
-            dg = np.zeros((3, 6, pts.shape[0]))
-            for c, coeff, rest in grad_plan:
-                dg[c] += coeff * mono[rest]
-            return dg[:, _SYM_GATHER].reshape(27, -1).T.reshape(-1, 3, 3, 3)
-
-        return cls(fun, grad)
+        return cls._from_jet(jet)
 
 
 def random_polynomial_metric(rng: np.random.Generator, amplitude: float = 0.5) -> MetricField:

@@ -339,7 +339,8 @@ def test_m2_sum_matches_the_quadrature_on_random_data(seed, lmax):
 @pytest.mark.parametrize("lmax", [6, 8])
 def test_m2_quadrature_gap_is_bounded_by_the_truncations(lmax):
     """Deformed-sphere data is node-valued and not band-limited, so the two
-    m2 routes differ, by no more than the bound in compute_m2's docstring."""
+    m2 routes differ, by no more than the bound in compute_m2's docstring,
+    which estimate reports as m2_truncation_bound."""
     grid = build_grid(lmax)
     for seed in range(3):
         params = random_deformation(grid, np.random.default_rng(seed))
@@ -352,4 +353,11 @@ def test_m2_quadrature_gap_is_bounded_by_the_truncations(lmax):
         a = data.H1.truncation
         b = data.gamma1.trace.truncation
         c = data.gamma1.tracefree_truncation
-        assert 1e-8 < gap <= 3.0 / 16.0 * a * b + 0.5 * c * c
+        bound = estimate(data).diagnostics["m2_truncation_bound"]
+        assert bound == 3.0 / 16.0 * a * b + 0.5 * c * c
+        assert 1e-8 < gap <= bound
+
+
+def test_m2_truncation_bound_is_zero_for_coefficient_data(grid8, rng):
+    data = random_perturbation(grid8, rng)
+    assert estimate(data).diagnostics["m2_truncation_bound"] == 0.0

@@ -103,19 +103,21 @@ def test_christoffel_matches_the_inverse_formula(rng):
     assert relative_gap(metric.christoffel(pts), ref) <= 1e-13
 
 
+def rho_test(pts):
+    return 1.0 + 0.3 * pts[:, 0] + 0.2 * np.sum(pts * pts, axis=1)
+
+
+def conformal_test_metric():
+    return MetricField.conformal(rho_test, lambda pts: 0.4 * pts + np.array([0.3, 0.0, 0.0]))
+
+
 def test_geodesic_acceleration_matches_the_christoffel_contraction(rng):
-    def rho(pts):
-        return 1.0 + 0.3 * pts[:, 0] + 0.2 * np.sum(pts * pts, axis=1)
-
-    def drho(pts):
-        return 0.4 * pts + np.array([0.3, 0.0, 0.0])
-
     metrics = (
         MetricField.polynomial(*symmetric_polynomial_coefficients(rng)),
-        MetricField.conformal(rho, drho),
+        conformal_test_metric(),
         MetricField.space_form(0.7),
         MetricField.space_form(-0.9),
-        MetricField.conformal(rho),  # no exact gradient: the FD path
+        MetricField.conformal(rho_test),  # no exact gradient: the FD path
     )
     pts = rng.uniform(-0.3, 0.3, size=(9, 3))
     vel = rng.standard_normal((9, 3))
@@ -208,6 +210,30 @@ def test_polynomial_metric_point_values_do_not_depend_on_the_batch(rng):
             assert metric.gradient(pts[i:i + 1]).tobytes() == dg[i:i + 1].tobytes()
 
 
+def test_polynomial_jet_is_bitwise_the_nine_row_loops(rng):
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    pts[0] = 0.0
+    for blocks in polynomial_coefficient_draws(rng):
+        g, dg = MetricField.polynomial(*blocks).jet(pts)
+        fun, grad = reference_polynomial(*blocks)
+        assert g.flags.c_contiguous and dg.flags.c_contiguous
+        assert np.moveaxis(g, -1, 0).tobytes() == fun(pts).tobytes()
+        assert np.moveaxis(dg, -1, 0).tobytes() == grad(pts).tobytes()
+
+
+def test_polynomial_jet_point_values_do_not_depend_on_the_batch(rng):
+    """Each point's jet has the bits of its own evaluation, which the
+    curvature stencils rely on."""
+    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
+    for blocks in polynomial_coefficient_draws(rng):
+        metric = MetricField.polynomial(*blocks)
+        g, dg = metric.jet(pts)
+        for i in (0, 1, 128, 256):
+            g1, dg1 = metric.jet(pts[i])
+            assert g1.tobytes() == g[..., i:i + 1].tobytes()
+            assert dg1.tobytes() == dg[..., i:i + 1].tobytes()
+
+
 def test_geodesic_acceleration_is_bitwise_the_einsum_form(rng):
     pts = rng.uniform(-0.4, 0.4, size=(257, 3))
     pts[:3] = 0.0  # the probes' start, where dg vanishes without a linear part
@@ -215,6 +241,8 @@ def test_geodesic_acceleration_is_bitwise_the_einsum_form(rng):
     vel[1, 1] = vel[2] = 0.0
     metrics = [MetricField.polynomial(*blocks)
                for blocks in polynomial_coefficient_draws(rng)]
+    metrics += [MetricField.space_form(0.7), MetricField.space_form(-0.55),
+                conformal_test_metric()]
     for metric in metrics + [random_polynomial_metric(rng)]:
         acc = metric.geodesic_acceleration(pts, vel)
         assert acc.tobytes() == reference_acceleration(metric, pts, vel).tobytes()
@@ -512,5 +540,13 @@ def test_metric_callable_shape_validation():
     bad = MetricField(lambda pts: np.zeros((pts.shape[0], 2, 2)))
     with pytest.raises(ValueError):
         bad(np.zeros((1, 3)))
+    # a gradient callable that returns the value's shape, (npts, 3, 3)
+    bad_grad = MetricField(lambda p: np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)),
+                           lambda p: np.zeros(p.shape[:-1] + (3, 3)))
+    pts = np.zeros((5, 3))
+    for call in (bad_grad.gradient, bad_grad.jet, bad_grad.christoffel,
+                 lambda p: bad_grad.geodesic_acceleration(p, np.ones((5, 3)))):
+        with pytest.raises(ValueError, match=r"\(\.\.\., npts, 3, 3, 3\)"):
+            call(pts)
     with pytest.raises(ValueError):
         fd_ricci(MetricField.polynomial(), np.zeros(3), step=1.0)
