@@ -165,8 +165,9 @@ class CurvatureJet:
     dric[c, a, b] is the first covariant derivative of R_ab in direction c
     and d2ric[d, c, a, b] the second, stored symmetric in (d, c); the
     commutator ambiguity of the mixed part is quadratic in curvature and
-    only affects orders beyond the fourth.  Construction validates the
-    contracted differential identity div Ric = (1/2) grad R.
+    only affects orders beyond the fourth.  Construction rejects
+    non-finite entries and validates the symmetries and the contracted
+    differential identity div Ric = (1/2) grad R.
     """
 
     ric: np.ndarray
@@ -179,6 +180,9 @@ class CurvatureJet:
         d2ric = np.asarray(self.d2ric, dtype=float)
         if ric.shape != (3, 3) or dric.shape != (3, 3, 3) or d2ric.shape != (3, 3, 3, 3):
             raise ValueError("jet arrays must have shapes (3,3), (3,3,3), (3,3,3,3)")
+        # a NaN would pass both checks below, since comparisons with it are false
+        if not all(np.all(np.isfinite(a)) for a in (ric, dric, d2ric)):
+            raise ValueError("jet arrays must be finite")
         scale = 1.0 + max(np.max(np.abs(ric)), np.max(np.abs(dric)), np.max(np.abs(d2ric)))
         sym_err = max(
             np.max(np.abs(ric - ric.T)),

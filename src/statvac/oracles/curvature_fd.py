@@ -56,8 +56,7 @@ def _fd_riemann_dense(metric: MetricField, base: np.ndarray, step: float):
     with every point in one flat axis of n."""
     _check_step(step)
     # dgam[..., n, a, c, b, d] = d_a Gamma^c_bd
-    gam0, dgam = fd_jet(lambda pts: metric.christoffel(pts, step=step, force_fd=True),
-                        base, step)
+    gam0, dgam = fd_jet(lambda pts: metric.christoffel(pts, fd_step=step), base, step)
     gam0 = gam0.reshape(-1, 3, 3, 3)
     dgam = dgam.reshape(-1, 3, 3, 3, 3)
 

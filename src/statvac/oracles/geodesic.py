@@ -25,8 +25,8 @@ the metric and its gradient at every node, contracted with the velocities
 by three ``np.einsum`` sums, never forming the Christoffel symbols.  The
 jet is C-contiguous with the nodes last, so each sum adds its terms in
 index order and its bits do not depend on the memory layout of the metric
-callable's output; the end points' metric and gradient come from one
-more jet.
+callable's output.  One more jet gives the end points' metric and
+gradient, in the layout ``embedded_sphere_geometry`` takes.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     y0 = state[: 3 * n].reshape(n, 3)
     v_end = state[3 * n:].reshape(n, 3)
 
-    gy, dgy = (np.moveaxis(a, -1, 0) for a in metric.jet(y0))
+    gy, dgy = metric.jet(y0)
     ycoef = grid.analyze(y0.T)
     (s11, s12, s22), h, det, nu = embedded_sphere_geometry(grid, ycoef, gy, dgy)
-    if not np.all(np.einsum("na,nab,nb->n", nu, gy, v_end) > 0.0):
+    if not np.all(np.einsum("na,abn,nb->n", nu, gy, v_end) > 0.0):
         raise NumericalFailure("surface normal orthogonal to the geodesic")
 
     scale = tau ** 2
@@ -161,7 +161,7 @@ def geodesic_sphere(metric: MetricField, center, tau: float, grid: SphereGrid,
     h_offset = 2.0 + tau * h
 
     if diagnostics is not None:
-        speed_sq = np.einsum("na,nab,nb->n", v_end, gy, v_end)
+        speed_sq = np.einsum("na,abn,nb->n", v_end, gy, v_end)
         diagnostics["speed_drift"] = float(np.max(np.abs(speed_sq - 1.0)))
         diagnostics["spectral_tail"] = float(np.linalg.norm(
             ycoef[:, grid.ls == grid.lmax]))

@@ -1,11 +1,12 @@
 """Analytic ambient metrics with finite-difference jets.
 
-A MetricField wraps a vectorized callable x -> g(x) on R^3.  Derivatives
-are taken by 4th-order central differences of the callable; constructors
-for polynomial and conformally flat metrics also carry exact first
-derivatives, which the geodesic integrator may use, but every curvature
-oracle differentiates the callable directly so that it stays independent
-of the closed forms it is checking.
+A MetricField is one of two kinds.  ``MetricField(fun)`` wraps a
+vectorized callable x -> g(x) on R^3, whose derivatives are 4th-order
+central differences of the callable.  The closed forms, ``polynomial``,
+``conformal(rho, drho)`` and ``space_form``, carry an exact jet of g and
+its first derivatives, and their value callable reads it.  Every
+curvature oracle differentiates the callable directly, so that it stays
+independent of the closed forms it is checking.
 
 Points are batched: every difference stencil is gathered into one call of
 the callable, so a metric callable must accept any (npts, 3) batch and
@@ -20,8 +21,8 @@ evaluation, component-major and C-contiguous with the points last; the
 geodesic right-hand side and the exact Christoffel symbols read it.  A
 polynomial metric builds the 20 monomials of degree <= 3 of its points
 once, as one (20, npts) array, and forms g and its exact gradient as two
-``np.einsum`` sums over that monomial axis; its value and gradient
-callables return views of the same jet.  einsum keeps the bits of each
+``np.einsum`` sums over that monomial axis; its value callable returns a
+view of the same jet.  einsum keeps the bits of each
 point where one BLAS product would not: with the points on the
 contiguous last axis of the monomials and of the result, its
 sum-of-products loops run along the points and add the terms in index
@@ -161,29 +162,25 @@ def _inverse3(g: np.ndarray) -> np.ndarray:
     return adj / det
 
 
-def _point_major(arr: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """A component-major jet array, points last, as (..., npts, components)
-    for the (..., npts, 3) points it was evaluated at; a view for (npts, 3)."""
-    return np.moveaxis(arr, -1, 0).reshape(points.shape[:-1] + arr.shape[:-1])
-
-
 class MetricField:
-    """Vectorized ambient metric x -> g(x) with optional exact gradient."""
+    """Vectorized ambient metric x -> g(x), with an exact jet if closed form."""
 
-    def __init__(self, fun, grad=None):
+    def __init__(self, fun):
         self._fun = fun
-        self._grad = grad
         self._exact_jet = None
 
     @classmethod
     def _from_jet(cls, jet) -> "MetricField":
-        """Metric whose value and exact gradient are views of one jet.
+        """Metric whose value is a view of its exact jet.
 
         ``jet(pts, order)`` maps (n, 3) points to (g, dg), g (3, 3, n) and
         dg (3, 3, 3, n) component-major, or to (g, None) for order 0.
         """
-        metric = cls(lambda pts: _point_major(jet(pts.reshape(-1, 3), 0)[0], pts),
-                     lambda pts: _point_major(jet(pts.reshape(-1, 3), 1)[1], pts))
+        def value(pts):  # (..., npts, 3, 3), a view for (npts, 3) points
+            g = jet(pts.reshape(-1, 3), 0)[0]
+            return np.moveaxis(g, -1, 0).reshape(pts.shape[:-1] + (3, 3))
+
+        metric = cls(value)
         metric._exact_jet = jet
         return metric
 
@@ -194,47 +191,37 @@ class MetricField:
             raise ValueError("metric callable must return (..., npts, 3, 3)")
         return g
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """dg[n, c, a, b] = d g_ab / d x^c, exact if available, else FD with step 1e-3."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._grad is None:
-            return fd_jet(self, points, 1e-3)[1]
-        dg = np.asarray(self._grad(points), dtype=float)
-        if dg.shape != points.shape[:-1] + (3, 3, 3):
-            raise ValueError("metric gradient callable must return (..., npts, 3, 3, 3)")
-        return dg
+    def _fd_jet(self, points: np.ndarray, step: float):
+        """g and dg from ``fd_jet`` of the callable, component-major views, points last."""
+        g, dg = fd_jet(self, points, step)
+        return (np.moveaxis(g.reshape(-1, 3, 3), 0, -1),
+                np.moveaxis(dg.reshape(-1, 3, 3, 3), 0, -1))
 
     def jet(self, points: np.ndarray):
         """g[a, b, n] and dg[c, a, b, n] = d_c g_ab at (..., npts, 3) points.
 
         Component-major and C-contiguous, with every point on the last
         axis, leading axes flattened into it.  The closed-form
-        constructors evaluate both in one pass.  Otherwise the callables
-        are called once each, or, without a gradient callable, the value
-        callable once on the points and the stencil of ``gradient``.
+        constructors evaluate both in one pass; otherwise the callable is
+        called once, on the points and the stencil of ``fd_jet`` with
+        step 1e-3.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self._exact_jet is not None:
             return self._exact_jet(points.reshape(-1, 3), 1)
-        if self._grad is None:
-            g, dg = fd_jet(self, points, 1e-3)
-        else:
-            g, dg = self(points), self.gradient(points)
-        return (np.ascontiguousarray(np.moveaxis(g.reshape(-1, 3, 3), 0, -1)),
-                np.ascontiguousarray(np.moveaxis(dg.reshape(-1, 3, 3, 3), 0, -1)))
+        return tuple(np.ascontiguousarray(a) for a in self._fd_jet(points, 1e-3))
 
-    def christoffel(self, points: np.ndarray, step: float = 1e-3,
-                    force_fd: bool = False) -> np.ndarray:
-        """Christoffel symbols Gamma^c_ab at (..., npts, 3) points, (..., npts, 3, 3, 3)."""
+    def christoffel(self, points: np.ndarray, fd_step: float | None = None) -> np.ndarray:
+        """Christoffel symbols Gamma^c_ab at (..., npts, 3) points, (..., npts, 3, 3, 3).
+
+        From the exact jet if there is one and ``fd_step`` is None, else from
+        ``fd_jet`` of the callable with step ``fd_step``, 1e-3 by default.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if force_fd or self._grad is None:
-            g, dg = fd_jet(self, points, step)
-            # pointwise from here on, so any leading axes join the points,
-            # component-major as in the jet
-            g = g.reshape(-1, 3, 3).transpose(1, 2, 0)
-            dg = dg.reshape(-1, 3, 3, 3).transpose(1, 2, 3, 0)
-        else:
+        if fd_step is None and self._exact_jet is not None:
             g, dg = self.jet(points)
+        else:
+            g, dg = self._fd_jet(points, 1e-3 if fd_step is None else fd_step)
         # Gamma^c_ab = (1/2) g^{cd} bracket[d, a, b] with
         # bracket[d, a, b] = dg[a, d, b] + dg[b, d, a] - dg[d, a, b]
         bracket = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
@@ -262,7 +249,7 @@ class MetricField:
 
     @classmethod
     def conformal(cls, rho, drho=None) -> "MetricField":
-        """g = rho(x) * delta for a positive scalar callable rho."""
+        """g = rho(x) * delta for a positive scalar rho; exact jet with its gradient drho."""
 
         def fun(pts):
             vals = np.asarray(rho(pts), dtype=float)
@@ -300,7 +287,7 @@ class MetricField:
         """g_ab = delta_ab + lin[a,b,i] x_i + quad[a,b,i,j] x_i x_j + cubic[...].
 
         Coefficient arrays are symmetrized in (a, b) and in the monomial
-        indices.  The exact gradient is attached.
+        indices.  The exact jet is attached.
         """
         lin = np.zeros((3, 3, 3)) if lin is None else np.asarray(lin, dtype=float)
         quad = np.zeros((3, 3, 3, 3)) if quad is None else np.asarray(quad, dtype=float)

@@ -58,13 +58,14 @@ def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
 
     ycoef (3, nmodes) holds the harmonic coefficients of the embedding's
     Cartesian components y^c, whose tangents and second derivatives are
-    taken spectrally on ``grid``; g (nnodes, 3, 3) is the ambient metric at
-    the embedded nodes and dg (nnodes, 3, 3, 3) its gradient,
-    dg[n, c, a, b] = d_c g_ab.  Any of them may carry leading batch axes,
-    ycoef as (3, ..., nmodes) and the metric as (..., nnodes, 3, 3), which
-    broadcast against each other: several spheres in one call, or one
-    embedding, whose spectral derivatives are then taken once, in several
-    metrics.
+    taken spectrally on ``grid``; g (3, 3, nnodes) is the ambient metric at
+    the embedded nodes and dg (3, 3, 3, nnodes) its gradient,
+    dg[c, a, b, n] = d_c g_ab, component-major with the nodes last as
+    ``MetricField.jet`` returns them.  Any of them may carry batch axes
+    before the nodes, ycoef as (3, ..., nmodes) and the metric as
+    (3, 3, ..., nnodes), which broadcast against each other: several
+    spheres in one call, or one embedding, whose spectral derivatives are
+    then taken once, in several metrics.
 
     Returns ((c11, c12, c22), h, det, nu): the induced metric in the
     orthonormal frame of the round sphere, the mean curvature, the induced
@@ -77,17 +78,15 @@ def embedded_sphere_geometry(grid: SphereGrid, ycoef: np.ndarray,
     symbols; it is -2 on the round unit sphere.  A degenerate induced
     metric or normal raises NumericalFailure.
     """
-    # component-major, nodes last, as in MetricField.christoffel; batch
-    # axes sit between the components and the nodes, the embedding's
-    # padded to as many as the metric's
+    # batch axes sit between the components and the nodes, the
+    # embedding's padded to as many as the metric's
     pad = g.ndim - 3 - (ycoef.ndim - 2)
     ycoef = ycoef.reshape(ycoef.shape[:1] + (1,) * pad + ycoef.shape[1:])
     d_th, d_ph, d_thth, d_thph = (
         grid.synth(table, ycoef)
         for table in ("dYdtheta", "dYdphi", "d2Ydtheta2", "d2Ydthetadphi"))
     d_phph = grid.synthesize(grid.dphi_coeffs(grid.dphi_coeffs(ycoef)))
-    g = np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1)))
-    dg = np.ascontiguousarray(np.moveaxis(dg, (-3, -2, -1), (0, 1, 2)))
+    g, dg = np.ascontiguousarray(g), np.ascontiguousarray(dg)
 
     def lower(mat, w):  # mat[a, b] w^b
         return mat[:, 0] * w[0] + mat[:, 1] * w[1] + mat[:, 2] * w[2]
@@ -221,13 +220,9 @@ def deformed_sphere_geometry(params: DeformationParams, ts):
         grad_v = params.grad_v.T
         drho = t * (jac_inv[0] * grad_v[0] + jac_inv[1] * grad_v[1]
                     + jac_inv[2] * grad_v[2])
-        # built component-major, (3, 3, t, nodes), which is the layout the
-        # geometry works in, and handed over as transposed views
-        g = rho * eye
-        dg = drho[:, None, None] * eye
+        # component-major, (3, 3, t, nodes), as the geometry takes them
         (c11, c12, c22), h, _, _ = embedded_sphere_geometry(
-            grid, grid.analyze(np.moveaxis(y, -1, 0)),
-            np.moveaxis(g, (0, 1), (-2, -1)), np.moveaxis(dg, (0, 1, 2), (-3, -2, -1)))
+            grid, grid.analyze(np.moveaxis(y, -1, 0)), rho * eye, drho[:, None, None] * eye)
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise ValueError("deformed surface is degenerate at this t") from exc
     return (c11, c12, c22), h
@@ -378,9 +373,10 @@ def mass_variation_identity(gdot_fun, grid: SphereGrid) -> dict:
     gdot, dgdot = fd_jet(gdot_fun, grid_x, x_step)
     ycoef = grid.analyze(grid_x.T)
 
-    # H at t = +-t_step and +-t_step/2, one embedding in four metrics
-    t = np.array([t_step, -t_step, 0.5 * t_step, -0.5 * t_step])[:, None, None, None]
-    h = embedded_sphere_geometry(grid, ycoef, np.eye(3) + t * gdot, t[..., None] * dgdot)[1]
+    # H at t = +-t_step and +-t_step/2, one embedding in four (3, 3, t, nodes) metrics
+    t = np.array([t_step, -t_step, 0.5 * t_step, -0.5 * t_step])[:, None]
+    g1, dg1 = np.moveaxis(gdot, 0, -1)[..., None, :], np.moveaxis(dgdot, 0, -1)[..., None, :]
+    h = embedded_sphere_geometry(grid, ycoef, np.eye(3)[:, :, None, None] + t * g1, t * dg1)[1]
     hdot = richardson((h[0] - h[1]) / (2.0 * t_step), (h[2] - h[3]) / t_step, 2)
 
     e1, e2 = grid.e_theta, grid.e_phi

@@ -26,6 +26,7 @@ grid is still its own object, with its own dense tables.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -110,6 +111,9 @@ class SphereGrid:
     """
 
     def __init__(self, lmax: int):
+        # bool is an Integral, and int() would truncate 2.5 to 2
+        if isinstance(lmax, bool) or not isinstance(lmax, numbers.Integral):
+            raise ValueError(f"lmax must be an integer, not {lmax!r}")
         if lmax < 0:
             raise ValueError("lmax must be nonnegative")
         self.lmax = int(lmax)

@@ -45,6 +45,7 @@ REMOVED = [
     ("statvac.oracles.curvature_fd", "fd_riemann"),
     ("statvac.oracles", "fd_riemann"),
     ("statvac.oracles.metricfield", "MetricField.euclidean"),
+    ("statvac.oracles.metricfield", "MetricField.gradient"),
 ]
 
 # (module, dotted callable, keyword) triples of options removed because
@@ -57,7 +58,9 @@ REMOVED_OPTIONS = [
     ("statvac.oracles.metricfield", "MetricField", "label"),
     ("statvac.oracles.metricfield", "MetricField.conformal", "label"),
     ("statvac.oracles.metricfield", "MetricField.polynomial", "label"),
-    ("statvac.oracles.metricfield", "MetricField.gradient", "step"),
+    ("statvac.oracles.metricfield", "MetricField", "grad"),
+    ("statvac.oracles.metricfield", "MetricField.christoffel", "force_fd"),
+    ("statvac.oracles.metricfield", "MetricField.christoffel", "step"),
     ("statvac.oracles.metricfield", "random_polynomial_metric", "degree"),
     ("statvac.oracles.sphere_variation", "variation_check", "steps"),
     ("statvac.oracles.sphere_variation", "conformal_probe_check", "lmax"),

@@ -118,6 +118,20 @@ def test_jet_validation_rejects_bad_arrays():
         CurvatureJet(np.zeros((3, 3)), bad_dric, np.zeros((3, 3, 3, 3)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["ric", "dric", "d2ric"])
+def test_jet_validation_rejects_non_finite_entries(rng, block, value):
+    """Comparisons with NaN are false, so without the finiteness check a
+    NaN entry passed both identity checks, and an inf one passed with a
+    RuntimeWarning."""
+    jet = random_jet(rng)
+    arrays = {name: np.array(getattr(jet, name)) for name in ("ric", "dric", "d2ric")}
+    arrays[block][(0,) * arrays[block].ndim] = value
+    with pytest.raises(ValueError, match="finite"):
+        CurvatureJet(**arrays)
+
+
 def test_random_jet_satisfies_identities(rng):
     for _ in range(10):
         jet = random_jet(rng)

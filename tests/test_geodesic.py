@@ -114,20 +114,16 @@ def test_integration_never_evaluates_more_points_than_grid_nodes():
     base = random_polynomial_metric(np.random.default_rng(0), amplitude=0.5)
     widths = []
 
-    def fun(pts):
+    def jet(pts, order):
         widths.append(pts.shape[0])
-        return base(pts)
-
-    def grad(pts):
-        widths.append(pts.shape[0])
-        return base.gradient(pts)
+        return base.jet(pts) if order == 1 else (base.jet(pts)[0], None)
 
     diag = {}
-    geodesic_sphere(MetricField(fun, grad), (0.0, 0.0, 0.0),
+    geodesic_sphere(MetricField._from_jet(jet), (0.0, 0.0, 0.0),
                     0.1, grid, diagnostics=diag)
     assert max(widths) == grid.nnodes
-    # two calls (value and gradient) per right-hand side, all full width
-    assert widths.count(grid.nnodes) >= 2 * diag["nfev"]
+    # one full-width jet per right-hand side and one at the end points
+    assert widths.count(grid.nnodes) == diag["nfev"] + 1
 
 
 def test_geodesic_sphere_never_forms_christoffel_symbols(monkeypatch):
@@ -310,22 +306,19 @@ def test_geodesic_sphere_frees_its_solver_without_a_collection():
 
 
 def metric_beyond(radius, g_outside, dg_outside):
-    """Identity metric with zero gradient inside |x| <= radius, given values outside."""
+    """Identity metric with zero gradient inside |x| <= radius, given values
+    outside; a jet sets the value and the gradient independently."""
 
-    def outside(pts):
-        return np.linalg.norm(pts, axis=1) > radius
-
-    def fun(pts):
+    def jet(pts, order):
+        outside = np.linalg.norm(pts, axis=1) > radius
         g = np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
-        g[outside(pts)] = g_outside
-        return g
-
-    def grad(pts):
+        g[outside] = g_outside
         dg = np.zeros((pts.shape[0], 3, 3, 3))
-        dg[outside(pts)] = dg_outside
-        return dg
+        dg[outside] = dg_outside
+        return (np.ascontiguousarray(np.moveaxis(g, 0, -1)),
+                np.ascontiguousarray(np.moveaxis(dg, 0, -1)) if order else None)
 
-    return MetricField(fun, grad)
+    return MetricField._from_jet(jet)
 
 
 def test_non_finite_gradient_is_a_numerical_failure():

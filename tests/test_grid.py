@@ -108,6 +108,17 @@ def test_grid_validation_errors():
         build_grid(4).synthesize(np.zeros(7))
 
 
+@pytest.mark.parametrize("lmax", [2.5, 3.0, True, np.bool_(True), "4", None])
+def test_grid_rejects_a_non_integer_band_limit(lmax):
+    """int() would truncate 2.5 to 2 and read True as 1."""
+    with pytest.raises(ValueError, match="integer"):
+        build_grid(lmax)
+
+
+def test_grid_takes_numpy_integers():
+    assert build_grid(np.int64(4)).lmax == 4 and type(build_grid(np.int32(4)).lmax) is int
+
+
 def test_wide_grid_same_integrals(grid8):
     wide = build_grid(14)
     assert not wide.same_layout(grid8)

@@ -42,12 +42,17 @@ def test_euclidean_is_flat():
     assert np.max(np.abs(riem.dense)) < 1e-10
 
 
+def exact_gradient(metric, pts):
+    """The jet's gradient point-major, dg[n, c, a, b] = d_c g_ab."""
+    return np.moveaxis(metric.jet(pts)[1], -1, 0)
+
+
 def test_polynomial_gradient_matches_finite_differences(rng):
-    """The attached analytic gradient must agree with direct differences of
-    the callable, including the cubic block."""
+    """The exact jet's gradient must agree with direct differences of the
+    callable, including the cubic block."""
     metric = random_polynomial_metric(rng, amplitude=0.4)
     pts = rng.uniform(-0.3, 0.3, size=(6, 3))
-    analytic = metric.gradient(pts)
+    analytic = exact_gradient(metric, pts)
     fd = fd_jet(metric, pts, 1e-3)[1]
     assert np.max(np.abs(analytic - fd)) < 1e-9
 
@@ -56,7 +61,7 @@ def test_conformal_gradient_matches_finite_differences():
     k = 0.8
     metric = MetricField.space_form(k)
     pts = np.array([[0.1, -0.4, 0.2], [0.0, 0.3, -0.1]])
-    analytic = metric.gradient(pts)
+    analytic = exact_gradient(metric, pts)
     fd = fd_jet(metric, pts, 1e-3)[1]
     assert np.max(np.abs(analytic - fd)) < 1e-10
 
@@ -89,18 +94,38 @@ def test_polynomial_metric_matches_the_explicit_contractions(rng):
               + 2.0 * np.einsum("abcj,nj->ncab", quad, pts)
               + 3.0 * np.einsum("abcjk,nj,nk->ncab", cubic, pts, pts))
     assert relative_gap(metric(pts), g_ref) <= 1e-14
-    assert relative_gap(metric.gradient(pts), dg_ref) <= 1e-14
+    assert relative_gap(exact_gradient(metric, pts), dg_ref) <= 1e-14
 
 
 def test_christoffel_matches_the_inverse_formula(rng):
     metric = MetricField.polynomial(*symmetric_polynomial_coefficients(rng))
     pts = rng.uniform(-0.3, 0.3, size=(9, 3))
     g = metric(pts)
-    dg = metric.gradient(pts)
+    dg = exact_gradient(metric, pts)
     bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
                - np.einsum("ndab->nabd", dg))
     ref = 0.5 * np.einsum("ncd,nabd->ncab", np.linalg.inv(g), bracket)
     assert relative_gap(metric.christoffel(pts), ref) <= 1e-13
+
+
+def test_callable_metric_differences_with_one_step(rng):
+    """Without an exact jet, jet and christoffel difference the callable
+    with step 1e-3; a closed form given ``fd_step`` differences its
+    callable too, with that step, and reads its exact jet without one."""
+    metric = MetricField.polynomial(*symmetric_polynomial_coefficients(rng))
+    plain = MetricField(metric)
+    pts = rng.uniform(-0.3, 0.3, size=(2, 5, 3))
+    g, dg = plain.jet(pts)
+    assert g.shape == (3, 3, 10) and g.flags.c_contiguous and dg.flags.c_contiguous
+    for got, want in zip((g, dg), fd_jet(metric, pts, 1e-3)):
+        assert np.moveaxis(got, -1, 0).tobytes() == want.reshape((10,) + got.shape[:-1]).tobytes()
+    assert plain.christoffel(pts).tobytes() == plain.christoffel(pts, fd_step=1e-3).tobytes()
+    for step in (1e-3, 2e-3):
+        assert (metric.christoffel(pts, fd_step=step).tobytes()
+                == plain.christoffel(pts, fd_step=step).tobytes())
+    exact = metric.christoffel(pts)
+    assert exact.tobytes() != plain.christoffel(pts).tobytes()
+    assert relative_gap(plain.christoffel(pts), exact) <= 1e-9
 
 
 def rho_test(pts):
@@ -173,8 +198,7 @@ def reference_polynomial(lin, quad, cubic):
 def reference_acceleration(metric, points, velocities):
     """geodesic_acceleration as three einsum contractions."""
     v = np.asarray(velocities, dtype=float).reshape(-1, 3).T
-    g = metric(points).transpose(1, 2, 0)
-    dg = metric.gradient(points).transpose(1, 2, 3, 0)
+    g, dg = metric.jet(points)
     u = np.einsum("cabn,bn->can", dg, v)
     w = np.einsum("an,adn->dn", v, u) - 0.5 * np.einsum("dan,an->dn", u, v)
     return -np.einsum("cdn,dn->nc", _inverse3(g), w)
@@ -195,19 +219,17 @@ def test_polynomial_metric_is_bitwise_the_nine_row_loops(rng):
     pts[0] = 0.0
     for blocks in polynomial_coefficient_draws(rng):
         metric = MetricField.polynomial(*blocks)
-        fun, grad = reference_polynomial(*blocks)
+        fun = reference_polynomial(*blocks)[0]
         assert metric(pts).tobytes() == fun(pts).tobytes()
-        assert metric.gradient(pts).tobytes() == grad(pts).tobytes()
 
 
 def test_polynomial_metric_point_values_do_not_depend_on_the_batch(rng):
     pts = rng.uniform(-0.4, 0.4, size=(257, 3))
     for blocks in polynomial_coefficient_draws(rng):
         metric = MetricField.polynomial(*blocks)
-        g, dg = metric(pts), metric.gradient(pts)
+        g = metric(pts)
         for i in (0, 1, 128, 256):
             assert metric(pts[i:i + 1]).tobytes() == g[i:i + 1].tobytes()
-            assert metric.gradient(pts[i:i + 1]).tobytes() == dg[i:i + 1].tobytes()
 
 
 def test_polynomial_jet_is_bitwise_the_nine_row_loops(rng):
@@ -248,19 +270,6 @@ def test_geodesic_acceleration_is_bitwise_the_einsum_form(rng):
         assert acc.tobytes() == reference_acceleration(metric, pts, vel).tobytes()
 
 
-def test_geodesic_acceleration_does_not_depend_on_the_layout(rng):
-    """A C-ordered (npts, 3, 3) metric and the component-major views that
-    polynomial metrics return give the same bits."""
-    pts = rng.uniform(-0.4, 0.4, size=(257, 3))
-    vel = rng.standard_normal((257, 3))
-    poly = MetricField.polynomial(*symmetric_polynomial_coefficients(rng))
-    dense = MetricField(lambda p: np.ascontiguousarray(poly(p)),
-                        lambda p: np.ascontiguousarray(poly.gradient(p)))
-    assert not poly(pts).flags.c_contiguous and dense(pts).flags.c_contiguous
-    assert (dense.geodesic_acceleration(pts, vel).tobytes()
-            == poly.geodesic_acceleration(pts, vel).tobytes())
-
-
 def cross_inverse3(g):
     """The adjugate-over-determinant inverse written with np.cross."""
     adj = np.stack([np.cross(g[1], g[2], axis=0), np.cross(g[2], g[0], axis=0),
@@ -289,8 +298,7 @@ def test_inverse3_is_bitwise_the_cross_product_form(rng):
     np.full((3, 3), np.nan),
 ])
 def test_christoffel_rejects_singular_metrics(g):
-    metric = MetricField(lambda pts: np.broadcast_to(g, (pts.shape[0], 3, 3)),
-                         lambda pts: np.zeros((pts.shape[0], 3, 3, 3)))
+    metric = MetricField(lambda pts: np.broadcast_to(g, (pts.shape[0], 3, 3)))
     pts = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]])
     with pytest.raises(np.linalg.LinAlgError):
         metric.christoffel(pts)
@@ -450,10 +458,9 @@ def test_family_axis_gives_each_member_its_own_bits(rng):
     per_member = [fd_jet(m, p, 1e-3, order=2) for m, p in zip(members, pts)]
     for part, ref in zip(fd_jet(family, pts, 1e-3, order=2), zip(*per_member)):
         assert part.tobytes() == np.stack(ref).tobytes()
-    gam = metric.christoffel(pts, force_fd=True)
+    gam = metric.christoffel(pts)
     assert gam.shape == (4, 2, 3, 3, 3)
-    assert gam.tobytes() == np.stack([m.christoffel(p, force_fd=True)
-                                      for m, p in zip(singles, pts)]).tobytes()
+    assert gam.tobytes() == np.stack([m.christoffel(p) for m, p in zip(singles, pts)]).tobytes()
     ric = fd_ricci(metric, pts)
     assert ric.shape == (4, 2, 3, 3)
     assert ric.tobytes() == np.stack([fd_ricci(m, p) for m, p in zip(singles, pts)]).tobytes()
@@ -530,7 +537,7 @@ def test_every_oracle_derivative_goes_through_fd_jet(rng, monkeypatch):
     grid = build_grid(6)
     assert reaches(lambda: jet_from_metric(metric, np.zeros(3)))
     assert reaches(lambda: fd_ricci(metric, pts))
-    assert reaches(lambda: metric.christoffel(pts, force_fd=True))
+    assert reaches(lambda: metric.christoffel(pts, fd_step=1e-3))
     assert reaches(lambda: mass_variation_identity(
         lambda p: np.eye(3) + p[:, :, None] * p[:, None, :], grid))
     assert reaches(lambda: run_suite("multipliers", seed=0, lmax=8))
@@ -540,13 +547,5 @@ def test_metric_callable_shape_validation():
     bad = MetricField(lambda pts: np.zeros((pts.shape[0], 2, 2)))
     with pytest.raises(ValueError):
         bad(np.zeros((1, 3)))
-    # a gradient callable that returns the value's shape, (npts, 3, 3)
-    bad_grad = MetricField(lambda p: np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)),
-                           lambda p: np.zeros(p.shape[:-1] + (3, 3)))
-    pts = np.zeros((5, 3))
-    for call in (bad_grad.gradient, bad_grad.jet, bad_grad.christoffel,
-                 lambda p: bad_grad.geodesic_acceleration(p, np.ones((5, 3)))):
-        with pytest.raises(ValueError, match=r"\(\.\.\., npts, 3, 3, 3\)"):
-            call(pts)
     with pytest.raises(ValueError):
         fd_ricci(MetricField.polynomial(), np.zeros(3), step=1.0)

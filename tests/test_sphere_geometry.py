@@ -21,8 +21,8 @@ def test_rotated_shifted_flat_sphere(grid12):
     the rotated radial direction as its normal, wherever it sits."""
     rng = np.random.default_rng(3)
     n = grid12.nnodes
-    g = np.broadcast_to(np.eye(3), (n, 3, 3))
-    dg = np.zeros((n, 3, 3, 3))
+    g = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n))
+    dg = np.zeros((3, 3, 3, n))
     for r in (0.5, 2.0):
         rot = Rotation.random(random_state=rng).as_matrix()
         radial = grid12.nodes @ rot.T
@@ -47,7 +47,7 @@ def test_coordinate_spheres_of_a_space_form(grid12, k):
         tau = 2.0 / root * arc(root * r / 2.0)
         y = r * grid12.nodes
         (c11, c12, c22), h, _, _ = embedded_sphere_geometry(
-            grid12, grid12.analyze(y.T), metric(y), metric.gradient(y))
+            grid12, grid12.analyze(y.T), *metric.jet(y))
         factor, scaled_h = space_form_reference(k, tau)
         scaled = np.stack([c11, c12, c22]) / tau ** 2
         assert np.max(np.abs(scaled - [[factor], [0.0], [factor]])) < 3e-13
@@ -69,9 +69,10 @@ def test_geometry_does_not_depend_on_the_coordinates(grid12):
     g = np.einsum("nca,ncb->nab", jac, jac)
     dg = np.einsum("cae,ncb->neab", b, jac) + np.einsum("nca,cbe->neab", jac, b)
     flat = embedded_sphere_geometry(grid12, grid12.analyze(image.T),
-                                    np.broadcast_to(np.eye(3), (n, 3, 3)),
-                                    np.zeros((n, 3, 3, 3)))
-    pulled = embedded_sphere_geometry(grid12, grid12.analyze(x.T), g, dg)
+                                    np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n)),
+                                    np.zeros((3, 3, 3, n)))
+    pulled = embedded_sphere_geometry(grid12, grid12.analyze(x.T),
+                                      np.moveaxis(g, 0, -1), np.moveaxis(dg, 0, -1))
     assert np.max(np.abs(np.stack(flat[0]) - np.stack(pulled[0]))) < 2e-13
     assert np.max(np.abs(flat[1] - pulled[1])) < 1e-12
     np.testing.assert_allclose(flat[2], pulled[2], rtol=2e-13)
@@ -87,13 +88,14 @@ def test_batched_spheres_keep_each_sphere_bits(grid12):
     ycoef = grid12.analyze(np.moveaxis(ys, -1, 0))
     b = rng.uniform(-0.2, 0.2, size=(3, 3, 3, 3))
     b = b + b.transpose(0, 1, 3, 2)
-    dg = np.broadcast_to(b[:, None], (3, n, 3, 3, 3))
-    g = np.eye(3) + np.einsum("scab,nc->snab", b, ys[0])
+    # component-major, (3, 3, sphere, node) and (3, 3, 3, sphere, node)
+    dg = np.broadcast_to(np.moveaxis(b, 0, -1)[..., None], (3, 3, 3, 3, n))
+    g = np.eye(3)[:, :, None, None] + np.einsum("scab,nc->absn", b, ys[0])
     batched = embedded_sphere_geometry(grid12, ycoef, g, dg)
     shared = embedded_sphere_geometry(grid12, ycoef[:, 0], g, dg)
     for i in range(3):
-        one = embedded_sphere_geometry(grid12, ycoef[:, i], g[i], dg[i])
-        same = embedded_sphere_geometry(grid12, ycoef[:, 0], g[i], dg[i])
+        one = embedded_sphere_geometry(grid12, ycoef[:, i], g[..., i, :], dg[..., i, :])
+        same = embedded_sphere_geometry(grid12, ycoef[:, 0], g[..., i, :], dg[..., i, :])
         for got, want in ((batched, one), (shared, same)):
             assert np.stack(got[0])[:, i].tobytes() == np.stack(want[0]).tobytes()
             for part in (1, 2, 3):
