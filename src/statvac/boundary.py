@@ -58,13 +58,15 @@ class HarmonicExterior:
         coeffs.setflags(write=False)
         self.grid = grid
         self.coeffs = coeffs
+        # lazy fields: each trace is synthesized once, on its first read
+        self._trace = ScalarField.from_coeffs(grid, coeffs)
+        self._radial_trace = ScalarField.from_coeffs(grid, -(grid.ls + 1.0) * coeffs)
 
     def trace(self) -> ScalarField:
-        return ScalarField.from_coeffs(self.grid, self.coeffs)
+        return self._trace
 
     def radial_trace(self) -> ScalarField:
-        ls = self.grid.ls
-        return ScalarField.from_coeffs(self.grid, -(ls + 1.0) * self.coeffs)
+        return self._radial_trace
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at ambient points outside the origin."""

@@ -97,6 +97,9 @@ def _check_config(config: RunConfig) -> None:
     if config.mode == "fields" and len(config.tau) > 1:
         raise io.SchemaError("fields mode takes a single --tau; give each "
                              'case its own radius with its "tau" key')
+    if config.mode == "small-sphere" and len(set(config.tau)) < len(config.tau):
+        tau = next(t for pos, t in enumerate(config.tau) if t in config.tau[:pos])
+        raise io.SchemaError(f"tau {tau!r} is given twice; the fit needs distinct radii")
     if config.mode in ("verify", "moments") and config.format == "csv":
         raise io.SchemaError("csv output is only available for fields and "
                              "small-sphere runs")

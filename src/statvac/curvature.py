@@ -13,6 +13,10 @@ R_abcd R^adcb = 2|Ric|^2 - R^2/2.  A curvature jet (Ricci with two
 derivative orders at a point) generates the fourth-order Taylor data of
 geodesic spheres: the scaled induced metric and mean curvature offsets
 from (round, -2).
+
+The jet identities are two constant tables of constraint rows, on dric and
+d2ric; ``random_jet`` projects both blocks onto them, ``jet_from_arrays``
+only dric.
 """
 
 from __future__ import annotations
@@ -38,10 +42,8 @@ __all__ = [
     "reference_expansions",
 ]
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
+# the Levi-Civita symbol: _EPS3[i, j] = e_i x e_j
+_EPS3 = np.cross(np.eye(3)[:, None], np.eye(3))
 _EPS3.setflags(write=False)
 
 # Flat (81-entry) index tables of the pair basis.  Entry abcd of a dense
@@ -229,60 +231,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _dric_constraints():
-    """Constraint rows: index symmetry plus the contracted Bianchi identity."""
-    rows = []
-
-    def idx(c, a, b):
-        return (c * 3 + a) * 3 + b
-
-    for c in range(3):
-        for a in range(3):
-            for b in range(a + 1, 3):
-                r = np.zeros(27)
-                r[idx(c, a, b)] = 1.0
-                r[idx(c, b, a)] = -1.0
-                rows.append(r)
-    for a in range(3):
-        r = np.zeros(27)
-        for b in range(3):
-            r[idx(b, b, a)] += 1.0
-            r[idx(a, b, b)] -= 0.5
-        rows.append(r)
-    return np.array(rows)
-
-
-def _d2ric_constraints():
-    """Symmetry in both index pairs plus the differentiated Bianchi identity."""
-    rows = []
-
-    def idx(d, c, a, b):
-        return ((d * 3 + c) * 3 + a) * 3 + b
-
-    for d in range(3):
-        for c in range(3):
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    r = np.zeros(81)
-                    r[idx(d, c, a, b)] = 1.0
-                    r[idx(d, c, b, a)] = -1.0
-                    rows.append(r)
-    for d in range(3):
-        for c in range(d + 1, 3):
-            for a in range(3):
-                for b in range(3):
-                    r = np.zeros(81)
-                    r[idx(d, c, a, b)] = 1.0
-                    r[idx(c, d, a, b)] = -1.0
-                    rows.append(r)
-    for d in range(3):
-        for b in range(3):
-            r = np.zeros(81)
-            for a in range(3):
-                r[idx(d, a, a, b)] += 1.0
-                r[idx(d, b, a, a)] -= 0.5
-            rows.append(r)
-    return np.array(rows)
+# Constraint rows on the flattened jet blocks: _E3[c, a, b] is the unit row of
+# dric entry (c, a, b), _E4 that of d2ric.  Index-symmetry rows come first, then
+# the contracted Bianchi identity div Ric = (1/2) grad R and its derivative.
+_A, _B = np.triu_indices(3, 1)
+_E3 = np.eye(27).reshape(3, 3, 3, 27)
+_DRIC_CONSTRAINTS = _frozen(np.concatenate([
+    (_E3[:, _A, _B] - _E3[:, _B, _A]).reshape(9, 27),
+    np.einsum("bbak->ak", _E3) - 0.5 * np.einsum("abbk->ak", _E3),
+]))
+_E4 = np.eye(81).reshape(3, 3, 3, 3, 81)
+_D2RIC_CONSTRAINTS = _frozen(np.concatenate([
+    (_E4[:, :, _A, _B] - _E4[:, :, _B, _A]).reshape(27, 81),
+    (_E4[_A, _B] - _E4[_B, _A]).reshape(27, 81),
+    (np.einsum("daabk->dbk", _E4)
+     - 0.5 * np.einsum("dbaak->dbk", _E4)).reshape(9, 81),
+]))
 
 
 def _project_constraints(x: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -295,8 +259,8 @@ def random_jet(rng: np.random.Generator, scale: float = 1.0,
                require_lap: bool = False) -> CurvatureJet:
     """Random curvature jet satisfying the differential identities.
 
-    Entries are uniform in [-scale, scale] before projection onto the
-    symmetry and contracted Bianchi constraints.  With ``require_lap`` the
+    Entries are uniform in [-scale, scale]; dric and d2ric are then
+    projected onto their constraint tables.  With ``require_lap`` the
     sample is redrawn until the scalar curvature Laplacian is bounded away
     from zero.
     """
@@ -304,9 +268,9 @@ def random_jet(rng: np.random.Generator, scale: float = 1.0,
         ric = rng.uniform(-scale, scale, size=(3, 3))
         ric = 0.5 * (ric + ric.T)
         dric = rng.uniform(-scale, scale, size=27)
-        dric = _project_constraints(dric, _dric_constraints()).reshape(3, 3, 3)
+        dric = _project_constraints(dric, _DRIC_CONSTRAINTS).reshape(3, 3, 3)
         d2 = rng.uniform(-scale, scale, size=81)
-        d2 = _project_constraints(d2, _d2ric_constraints()).reshape(3, 3, 3, 3)
+        d2 = _project_constraints(d2, _D2RIC_CONSTRAINTS).reshape(3, 3, 3, 3)
         jet = CurvatureJet(ric, dric, d2)
         if not require_lap or abs(jet.lap_scalar) > 0.1 * scale:
             return jet
@@ -317,15 +281,16 @@ def jet_from_arrays(ric: np.ndarray, dric: np.ndarray,
     """Assemble a jet from raw derivative arrays, e.g. finite differences.
 
     Each block is symmetrized in the index pairs that must commute, and the
-    first-derivative block is projected onto the contracted differential
-    identity.  For arrays produced by a consistent discretization the
-    projection only removes truncation drift; it keeps the jet inside the
-    validation tolerance of :class:`CurvatureJet`.
+    first-derivative block is projected onto its constraint table, which
+    adds the contracted differential identity.  For arrays produced by a
+    consistent discretization the projection only removes truncation
+    drift; it keeps the jet inside the validation tolerance of
+    :class:`CurvatureJet`.
     """
     ric = 0.5 * (np.asarray(ric, dtype=float) + np.asarray(ric, dtype=float).T)
     dric = np.asarray(dric, dtype=float)
     dric = 0.5 * (dric + np.swapaxes(dric, 1, 2))
-    dric = _project_constraints(dric.ravel(), _dric_constraints()).reshape(3, 3, 3)
+    dric = _project_constraints(dric.ravel(), _DRIC_CONSTRAINTS).reshape(3, 3, 3)
     d2 = np.asarray(d2ric, dtype=float)
     d2 = 0.5 * (d2 + np.swapaxes(d2, 2, 3))
     d2 = 0.5 * (d2 + np.swapaxes(d2, 0, 1))

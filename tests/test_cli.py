@@ -437,6 +437,21 @@ def test_fields_takes_a_single_tau(capsys):
     assert err.startswith("schema error:") and '"tau" key' in err
 
 
+@pytest.mark.parametrize("taus", [("0.01", "0.01"), ("0.01", "0.02", "1e-2")])
+def test_small_sphere_rejects_a_repeated_tau(tmp_path, capsys, taus):
+    """Radii must be distinct: with two, a repeat makes the (tau^3, tau^5)
+    fit rank-deficient, and least squares would report its minimum-norm
+    solution as a fit."""
+    jet = random_jet(np.random.default_rng(0))
+    path = write_json(tmp_path / "jet.json", {
+        "ric": jet.ric.tolist(), "dric": jet.dric.tolist(),
+        "d2ric": jet.d2ric.tolist()})
+    code, out, err = run_cli(capsys, "--mode", "small-sphere", "--input", path,
+                             "--tau", *taus)
+    assert code == 2 and out == ""
+    assert err == "schema error: tau 0.01 is given twice; the fit needs distinct radii\n"
+
+
 _EDGE_MAGNITUDES = (1e154, 1e155, 1e160, 1e300, 1e308, sys.float_info.max)
 _magnitudes = st.one_of(st.floats(0.0, 308.0).map(lambda e: 10.0 ** e),
                         st.sampled_from(_EDGE_MAGNITUDES))

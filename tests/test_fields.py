@@ -227,12 +227,14 @@ def test_lazy_values_equal_the_eager_synthesis(grid8, rng):
     assert f.values is f.values and X.comp1 is X.comp1 and T.t1 is T.tracefree().t1
 
 
-def test_one_estimate_at_lmax_48_synthesizes_nine_times(rng, synth_calls):
-    """Data built from coefficients, as io and small_sphere_data build it."""
+def test_one_estimate_at_lmax_48_synthesizes_eight_times(rng, synth_calls):
+    """Data built from coefficients, as io and small_sphere_data build it.
+    The solve's radial trace of v is the field m1's flux check reads, so it
+    is synthesized once."""
     data = random_data(build_grid(48), rng)
     report = mass.estimate(data)
     assert report.diagnostics["residuals"]["c"] < 1e-12
-    assert len(synth_calls) == 9
+    assert sorted(synth_calls) == ["E1", "E2"] + ["Y"] * 6
 
 
 def test_scaled(grid8, rng):
